@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalContradictionError, SingularFanError
-from .fan import Fan, FakePlane, build_fan, opposite_ray_pairs, smoothness, zero_sum_triples
+from .errors import DomainError, InternalContradictionError
+from .fan import Fan, FakePlane, make_fake_plane, opposite_ray_pairs, zero_sum_triples
 from .lattice import LatticeVector
 from .newton import (
     BoundaryEdge,
+    CurveAnalysis,
     LaurentCurve,
-    anticanonical_degree,
-    circumscribed_polygon,
+    analyze,
     is_contracted_by_projection,
 )
 
@@ -80,13 +80,13 @@ def classify(fan: Fan, curve: LaurentCurve) -> Classification:
     convexity (side vectors close up to zero), so a failure there raises
     InternalContradictionError rather than reporting bad input.
     """
-    report = smoothness(fan)
-    if not report.smooth:
-        raise SingularFanError(
-            f"classification needs a smooth fan, cone indices {report.cone_indices}"
-        )
-    poly = circumscribed_polygon(fan, curve)
-    deltas = [e.delta for e in poly.edges]
+    return _classify(analyze(fan, curve))
+
+
+def _classify(analysis: CurveAnalysis) -> Classification:
+    analysis.smoothness.require("classification needs a smooth fan")
+    fan, curve = analysis.fan, analysis.curve
+    deltas = list(analysis.degrees)
     total = sum(deltas)
     positive = [i for i, d in enumerate(deltas) if d > 0]
 
@@ -137,15 +137,14 @@ def classify(fan: Fan, curve: LaurentCurve) -> Classification:
             f"degree 3 unit sides on rays not summing to zero: "
             f"{fan.rays[i]}, {fan.rays[j]}, {fan.rays[k]}"
         )
-    from .fan import make_fake_plane
-
     plane = make_fake_plane((fan.rays[i], fan.rays[j], fan.rays[k]))
+    edges = analysis.circumscribed().edges
     return MapsToFakePlane(
         degree=3,
         ray_triple=(i, j, k),
         rays=(fan.rays[i], fan.rays[j], fan.rays[k]),
         fake_plane=plane,
-        primitive_certificate=(poly.edges[i], poly.edges[j], poly.edges[k]),
+        primitive_certificate=(edges[i], edges[j], edges[k]),
     )
 
 
@@ -179,12 +178,11 @@ def line_witness_scan(fan: Fan, curve: LaurentCurve) -> list[Witness]:
     every zero sum triple is tested for the unit triangle property of the
     curve's circumscribed polygon with respect to the triple's own fan.
     The classifier's certificate, when present, always shows up here.
+    The triple tests reuse the curve's hull and build rational corners,
+    since a triple's sub-fan may be singular.
     """
-    report = smoothness(fan)
-    if not report.smooth:
-        raise SingularFanError(
-            f"witness scan needs a smooth host fan, cone indices {report.cone_indices}"
-        )
+    analysis = analyze(fan, curve)
+    analysis.smoothness.require("witness scan needs a smooth host fan")
     found: list[Witness] = []
     for (i, j) in opposite_ray_pairs(fan):
         if is_contracted_by_projection(curve, fan.rays[i]):
@@ -192,8 +190,7 @@ def line_witness_scan(fan: Fan, curve: LaurentCurve) -> list[Witness]:
                 PairWitness((i, j), (fan.rays[i], fan.rays[j]), fan.rays[i])
             )
     for (triple, plane) in zero_sum_triples(fan):
-        sub = build_fan(plane.rays)
-        poly = circumscribed_polygon(sub, curve)
+        poly = analysis.on(plane.fan()).circumscribed()
         if poly.all_lattice and all(e.delta == 1 for e in poly.edges):
             found.append(
                 TripleWitness(triple, plane.rays, plane)
@@ -381,8 +378,9 @@ def bn_verdict(
             image_degree is None,
             "pass either toric data or an explicit image_degree, not both",
         )
-        image_degree = anticanonical_degree(fan, curve)
-        witness = classify(fan, curve)
+        analysis = analyze(fan, curve)
+        image_degree = sum(analysis.intersections())
+        witness = _classify(analysis)
     else:
         _require(image_degree is not None, "image_degree is required without toric data")
         _require(image_degree >= 2, f"image degree must be >= 2, got {image_degree}")

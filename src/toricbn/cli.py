@@ -49,15 +49,7 @@ from .fan import (
     smoothness,
     zero_sum_triples,
 )
-from .newton import (
-    arithmetic_genus,
-    boundary_intersections,
-    circumscribed_polygon,
-    curve_from_json,
-    curve_to_json,
-    newton_polygon,
-    support_lines,
-)
+from .newton import analyze, curve_from_json, curve_to_json
 from .svg import render_fan_svg, render_polygons_svg
 
 _FORMULAS = {
@@ -194,8 +186,7 @@ def _cmd_fan_check(args) -> dict:
     }
 
 
-def _smoothness_json(fan) -> dict:
-    rep = smoothness(fan)
+def _smoothness_json(rep) -> dict:
     return {"smooth": rep.smooth, "cone_indices": list(rep.cone_indices)}
 
 
@@ -203,18 +194,19 @@ def _cmd_degree(args) -> dict:
     doc = _load_doc(args.input)
     fan = _doc_fan(doc)
     curve = _doc_curve(doc)
-    deltas = boundary_intersections(fan, curve)
-    poly = circumscribed_polygon(fan, curve)
-    hull = newton_polygon(curve)
+    analysis = analyze(fan, curve)
+    deltas = analysis.intersections()
+    poly = analysis.circumscribed()
+    hull = analysis.hull
     return {
         "command": "degree",
         "fan": fan_to_json(fan),
         "curve": curve_to_json(curve),
         "boundary_intersections": list(deltas),
         "anticanonical_degree": sum(deltas),
-        "arithmetic_genus": arithmetic_genus(curve),
+        "arithmetic_genus": analysis.genus,
         "diagnostics": {
-            "smoothness": _smoothness_json(fan),
+            "smoothness": _smoothness_json(analysis.smoothness),
             "assume_integral": bool(args.assume_integral),
         },
         "newton_polygon": {
@@ -227,7 +219,7 @@ def _cmd_degree(args) -> dict:
                 "level": sl.line.level,
                 "argmin": [[m.x, m.y] for m in sl.argmin],
             }
-            for sl in support_lines(fan, curve)
+            for sl in analysis.lines
         ],
         "edges": [_edge_json(e) for e in poly.edges],
     }
@@ -268,7 +260,7 @@ def _cmd_classify(args) -> dict:
         "classification": classification_to_json(cls),
         "witnesses": [witness_to_json(w) for w in witnesses],
         "diagnostics": {
-            "smoothness": _smoothness_json(fan),
+            "smoothness": _smoothness_json(smoothness(fan)),
             "assume_integral": bool(args.assume_integral),
             "orientation_note": _orientation_note(fan, curve, cls),
         },

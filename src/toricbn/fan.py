@@ -22,6 +22,7 @@ from .errors import (
     NotCompleteError,
     SchemaError,
     SingularConeError,
+    SingularFanError,
     TooFewRaysError,
 )
 from .lattice import LatticeVector, det2
@@ -117,6 +118,12 @@ class SmoothnessReport:
     smooth: bool
     cone_indices: tuple[int, ...]
 
+    def require(self, what: str) -> None:
+        """Raise SingularFanError, saying what needs a smooth fan, unless
+        every cone index is 1."""
+        if not self.smooth:
+            raise SingularFanError(f"{what}, cone indices {self.cone_indices}")
+
 
 def smoothness(fan: Fan) -> SmoothnessReport:
     """Index of every cone (the determinant of its two rays); the fan is
@@ -168,15 +175,20 @@ def blow_up(fan: Fan, cone_index: int) -> Fan:
     return build_fan(list(fan.rays) + [u + v])
 
 
+def _ray_index(fan: Fan) -> dict[tuple[int, int], int]:
+    return {(n.x, n.y): i for i, n in enumerate(fan.rays)}
+
+
 def opposite_ray_pairs(fan: Fan) -> list[tuple[int, int]]:
-    """All index pairs i < j with rays[i] == -rays[j].  Each such pair is
-    the fiber ray pair of a toric projection to the projective line."""
+    """All index pairs i < j with rays[i] == -rays[j], in lexicographic
+    order.  Each such pair is the fiber ray pair of a toric projection to
+    the projective line."""
+    index = _ray_index(fan)
     out = []
-    c = fan.ray_count
-    for i in range(c):
-        for j in range(i + 1, c):
-            if fan.rays[i] == -fan.rays[j]:
-                out.append((i, j))
+    for i, n in enumerate(fan.rays):
+        j = index.get((-n.x, -n.y))
+        if j is not None and j > i:
+            out.append((i, j))
     return out
 
 
@@ -214,20 +226,23 @@ def make_fake_plane(rays) -> FakePlane:
 
 
 def zero_sum_triples(fan: Fan) -> list[tuple[tuple[int, int, int], FakePlane]]:
-    """All index triples whose rays sum to zero, with their fake planes.
+    """All index triples i < j < k whose rays sum to zero, in lexicographic
+    order, with their fake planes.  Each pair i < j determines its third
+    ray -(n_i + n_j), which is looked up by value.
 
     Three distinct primitive vectors summing to zero are automatically
     pairwise non-collinear and positively span the plane, so each triple
     really is a complete sub-fan.
     """
+    index = _ray_index(fan)
+    rays = fan.rays
     out = []
-    c = fan.ray_count
-    for i in range(c):
-        for j in range(i + 1, c):
-            for k in range(j + 1, c):
-                if (fan.rays[i] + fan.rays[j] + fan.rays[k]).is_zero():
-                    triple = (i, j, k)
-                    out.append((triple, make_fake_plane([fan.rays[t] for t in triple])))
+    for i, u in enumerate(rays):
+        for j in range(i + 1, len(rays)):
+            v = rays[j]
+            k = index.get((-u.x - v.x, -u.y - v.y))
+            if k is not None and k > j:
+                out.append(((i, j, k), make_fake_plane([u, v, rays[k]])))
     return out
 
 

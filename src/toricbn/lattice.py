@@ -154,8 +154,9 @@ def line_intersection(l1: Line, l2: Line) -> RationalPoint:
 # convex hulls
 
 
-def _cross(o: LatticeVector, a: LatticeVector, b: LatticeVector) -> int:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Twice the signed area of the triangle o, a, b: positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @dataclass(frozen=True)
@@ -220,40 +221,59 @@ class LatticePolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+def convex_hull_with_boundary(points) -> tuple[LatticePolygon, tuple[LatticeVector, ...]]:
+    """The convex hull, and every input point on its boundary, in one pass.
+
+    Monotone chain with exact integer turns over the points sorted by
+    (x, y).  The chains pop only on strict right turns, so input points in
+    the relative interior of an edge stay on them; dropping the points
+    where the boundary does not turn leaves the hull's vertices.  The
+    boundary points come back sorted by (x, y).  When every input point
+    lies on one line, all of them are boundary points.
+    """
+    by_xy = {(p.x, p.y): p for p in points}
+    if not by_xy:
+        raise ValueError("convex_hull of an empty set")
+    keys = sorted(by_xy)
+    if len(keys) == 1:
+        only = by_xy[keys[0]]
+        return LatticePolygon((only,), "point"), (only,)
+
+    def half(seq):
+        chain: list[tuple[int, int]] = []
+        for p in seq:
+            while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) < 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    cycle = half(keys)[:-1] + half(reversed(keys))[:-1]
+    n = len(cycle)
+    corners = [q for i, q in enumerate(cycle) if _turn(cycle[i - 1], q, cycle[(i + 1) % n]) != 0]
+    if len(corners) < 3:
+        # every input point is on one line; keep the two extremes
+        hull = LatticePolygon((by_xy[keys[0]], by_xy[keys[-1]]), "segment")
+        return hull, tuple(by_xy[k] for k in keys)
+    hull = LatticePolygon(tuple(by_xy[k] for k in corners), "polygon")
+    return hull, tuple(by_xy[k] for k in sorted(cycle))
+
+
 def convex_hull(points) -> LatticePolygon:
     """Monotone chain hull with exact integer turns.
 
     Collinear boundary points are dropped, so the vertex list is minimal.
     Degenerate inputs yield kind "point" or "segment".
     """
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("convex_hull of an empty set")
-    if len(pts) == 1:
-        return LatticePolygon((pts[0],), "point")
-
-    def half(seq):
-        chain: list[LatticeVector] = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        # every input point is on one line; keep the two extremes
-        return LatticePolygon((pts[0], pts[-1]), "segment")
-    return LatticePolygon(tuple(hull), "polygon")
+    return convex_hull_with_boundary(points)[0]
 
 
 def interior_lattice_points(poly: LatticePolygon) -> int:
     """Count lattice points strictly inside the hull by direct scan.
 
-    Deliberately independent of Pick's identity so that the identity can
-    be checked against this count.
+    This is the test oracle for Pick's count in ``pick_interior_points``:
+    it shares no formula with it, and no code path of the package calls
+    it.  The scan covers the bounding box, so its cost is quadratic in the
+    hull's span.
     """
     if poly.kind != "polygon":
         return 0
@@ -264,6 +284,15 @@ def interior_lattice_points(poly: LatticePolygon) -> int:
             if poly.contains(LatticeVector(x, y), strict=True):
                 count += 1
     return count
+
+
+def pick_interior_points(poly: LatticePolygon) -> int:
+    """Count lattice points strictly inside the hull by Pick's theorem,
+    I = (2A - B + 2) / 2, from the vertices alone; 0 for a point or a
+    segment.  Linear in the number of vertices."""
+    if poly.kind != "polygon":
+        return 0
+    return (poly.twice_area() - boundary_lattice_points(poly) + 2) // 2
 
 
 def boundary_lattice_points(poly: LatticePolygon) -> int:

@@ -1,13 +1,31 @@
 """Laurent curves, their Newton polygons, and boundary intersection data.
 
 Given a complete fan and a Laurent polynomial F, each ray n_i supports a
-line minimizing <., n_i> over the exponents of F.  Consecutive support
-lines intersect in the corner points mu_i, and the corners trace out the
-circumscribed polygon of F.  On a smooth fan every corner is a lattice
-point and the lattice length of the i-th side is the intersection number
-of the completed curve with the i-th boundary divisor.  Summing the sides
-gives the anticanonical degree, and counting interior points of the
-Newton polygon gives the arithmetic genus.
+line minimizing <., n_i> over the exponents of F.  Its level h_i is the
+support function of the Newton polygon at n_i.  A linear form attains its
+minimum on a face of the polygon, so the levels and their minimizers are
+read off the exponents on the hull boundary alone.
+
+On a smooth fan n_{i-1} + n_{i+1} = a_i n_i with a_i = det(n_{i-1}, n_{i+1}),
+and the intersection number of the completed curve with the i-th boundary
+divisor is the integer
+
+    delta_i = a_i h_i - h_{i-1} - h_{i+1}
+
+(D . D_i for the Cartier divisor with support function h, using
+D_i^2 = -a_i; Fulton 1993, section 5).  Summing the delta_i gives the
+anticanonical degree.  The arithmetic genus is the interior lattice point
+count of the Newton polygon, taken from the hull by Pick's theorem,
+I = (2A - B + 2) / 2.  The bounding-box scan
+``lattice.interior_lattice_points`` is kept as the test oracle for it.
+
+Consecutive support lines intersect in the corner points mu_i, and the
+corners trace out the circumscribed polygon of F.  On a smooth fan every
+corner is a lattice point and the lattice length of the i-th side is
+delta_i again.  The rational corners are built only where a report, a
+certificate or a picture needs them, and wherever both derivations are at
+hand they are checked against each other.  ``analyze`` computes all of
+this once per (fan, curve); the module level functions wrap it.
 """
 
 from __future__ import annotations
@@ -19,22 +37,23 @@ from .errors import (
     DuplicateExponentError,
     InternalContradictionError,
     SchemaError,
-    SingularFanError,
     TooFewTermsError,
     ZeroCoefficientError,
     ZeroCoordinateError,
 )
-from .fan import Fan, smoothness
+from .fan import Fan, SmoothnessReport, smoothness
 from .lattice import (
     LatticePolygon,
     LatticeVector,
     Line,
     RationalPoint,
     convex_hull,
-    interior_lattice_points,
+    convex_hull_with_boundary,
+    det2,
     lattice_distance,
     line_intersection,
     pairing,
+    pick_interior_points,
     rotate_cw,
 )
 
@@ -44,6 +63,21 @@ def _coerce_exponent(e) -> LatticeVector:
         return e
     x, y = e
     return LatticeVector(int(x), int(y))
+
+
+def _term_key(term) -> tuple[int, int]:
+    m = term[0]
+    return (m.x, m.y)
+
+
+def _sorted_curve(terms: list[tuple[LatticeVector, Fraction]]) -> "LaurentCurve":
+    """Check a list of (exponent, non-zero coefficient) terms and store it
+    sorted by exponent."""
+    if len(terms) != len({_term_key(t) for t in terms}):
+        raise DuplicateExponentError("repeated exponent vector")
+    if len(terms) < 2:
+        raise TooFewTermsError(f"got {len(terms)} terms, a curve needs at least 2")
+    return LaurentCurve(tuple(sorted(terms, key=_term_key)))
 
 
 @dataclass(frozen=True)
@@ -67,11 +101,7 @@ class LaurentCurve:
             if coeff == 0:
                 raise ZeroCoefficientError(f"zero coefficient at exponent {e}")
             terms.append((_coerce_exponent(e), coeff))
-        if len(terms) != len({m for m, _ in terms}):
-            raise DuplicateExponentError("repeated exponent vector")
-        if len(terms) < 2:
-            raise TooFewTermsError(f"got {len(terms)} terms, a curve needs at least 2")
-        return LaurentCurve(tuple(sorted(terms)))
+        return _sorted_curve(terms)
 
     def coefficient(self, m: LatticeVector) -> Fraction:
         for e, c in self.terms:
@@ -95,9 +125,10 @@ def newton_polygon(curve: LaurentCurve) -> LatticePolygon:
 
 
 def arithmetic_genus(curve: LaurentCurve) -> int:
-    """Interior lattice point count of the Newton polygon: the arithmetic
-    genus of the completed curve on any smooth toric surface."""
-    return interior_lattice_points(newton_polygon(curve))
+    """Interior lattice point count of the Newton polygon, by Pick's
+    theorem: the arithmetic genus of the completed curve on any smooth
+    toric surface."""
+    return pick_interior_points(newton_polygon(curve))
 
 
 @dataclass(frozen=True)
@@ -107,18 +138,6 @@ class SupportLine:
     ray: LatticeVector
     line: Line
     argmin: tuple[LatticeVector, ...]
-
-
-def support_lines(fan: Fan, curve: LaurentCurve) -> tuple[SupportLine, ...]:
-    """One support line per ray, in fan order."""
-    pts = support(curve)
-    out = []
-    for n in fan.rays:
-        values = [pairing(m, n) for m in pts]
-        lo = min(values)
-        argmin = tuple(m for m, v in zip(pts, values) if v == lo)
-        out.append(SupportLine(n, Line(n, lo), argmin))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -158,74 +177,146 @@ class CircumscribedPolygon:
         return tuple(sorted(set(self.mu)))
 
 
-def circumscribed_polygon(fan: Fan, curve: LaurentCurve) -> CircumscribedPolygon:
-    """Intersect consecutive support lines and package the side data.
+@dataclass(frozen=True)
+class CurveAnalysis:
+    """Everything computed once per (fan, curve).
 
-    Works on any complete fan; corners are rational in general and the
-    per-side delta is only filled in where both corners are integral.
-    Consecutive rays are never collinear, so the intersections exist.
+    hull is the Newton polygon and boundary lists the support points on
+    its boundary, sorted by exponent.  lines holds one support line per
+    ray, in fan order.  degrees holds the boundary intersection numbers
+    from the delta formula, or None when the fan is singular.  genus is
+    Pick's interior point count of the hull.
     """
-    lines = support_lines(fan, curve)
-    c = fan.ray_count
-    mu = [line_intersection(lines[i].line, lines[(i + 1) % c].line) for i in range(c)]
-    edges = []
-    for i in range(c):
-        start, end = mu[(i - 1) % c], mu[i]
-        d = rotate_cw(fan.rays[i])
 
-        def along(p):
-            return p.x * d.x + p.y * d.y
+    fan: Fan
+    curve: LaurentCurve
+    hull: LatticePolygon
+    boundary: tuple[LatticeVector, ...]
+    lines: tuple[SupportLine, ...]
+    smoothness: SmoothnessReport
+    degrees: tuple[int, ...] | None
+    genus: int
 
-        lo, hi = along(start), along(end)
-        if hi < lo:
-            raise InternalContradictionError(
-                f"side {i} traversed backwards against the boundary orientation"
+    def on(self, fan: Fan) -> "CurveAnalysis":
+        """The same curve on another complete fan, reusing the hull."""
+        return _analysis(fan, self.curve, self.hull, self.boundary, self.genus)
+
+    def intersections(self) -> tuple[int, ...]:
+        """The degrees, or SingularFanError when the fan is singular."""
+        self.smoothness.require("boundary intersections need a smooth fan")
+        return self.degrees
+
+    def circumscribed(self) -> CircumscribedPolygon:
+        """Intersect consecutive support lines and package the side data.
+
+        Works on any complete fan; corners are rational in general and the
+        per-side delta is only filled in where both corners are integral.
+        Consecutive rays are never collinear, so the intersections exist.
+        On a smooth fan every side's lattice length must equal the delta
+        formula's degree.
+        """
+        lines = self.lines
+        c = len(lines)
+        mu = [line_intersection(lines[i].line, lines[(i + 1) % c].line) for i in range(c)]
+        edges = []
+        for i, sl in enumerate(lines):
+            start, end = mu[i - 1], mu[i]
+            d = rotate_cw(sl.ray)
+
+            def along(p):
+                return p.x * d.x + p.y * d.y
+
+            lo, hi = along(start), along(end)
+            if hi < lo:
+                raise InternalContradictionError(
+                    f"side {i} traversed backwards against the boundary orientation"
+                )
+            contacts = sorted(sl.argmin, key=along)
+            if along(contacts[0]) < lo or along(contacts[-1]) > hi:
+                raise InternalContradictionError(
+                    f"support contact outside the corners of side {i}"
+                )
+            delta = None
+            if start.is_lattice and end.is_lattice:
+                delta = lattice_distance(start.to_lattice(), end.to_lattice())
+            if self.degrees is not None and delta != self.degrees[i]:
+                raise InternalContradictionError(
+                    f"side {i} has corner lattice length {delta} "
+                    f"but the support levels give degree {self.degrees[i]}"
+                )
+            edges.append(
+                BoundaryEdge(
+                    ray_index=i,
+                    ray=sl.ray,
+                    start=start,
+                    end=end,
+                    nu_minus=contacts[0],
+                    nu_plus=contacts[-1],
+                    delta=delta,
+                )
             )
-        contacts = sorted(lines[i].argmin, key=along)
-        if along(contacts[0]) < lo or along(contacts[-1]) > hi:
-            raise InternalContradictionError(
-                f"support contact outside the corners of side {i}"
-            )
-        delta = None
-        if start.is_lattice and end.is_lattice:
-            delta = lattice_distance(start.to_lattice(), end.to_lattice())
-        edges.append(
-            BoundaryEdge(
-                ray_index=i,
-                ray=fan.rays[i],
-                start=start,
-                end=end,
-                nu_minus=contacts[0],
-                nu_plus=contacts[-1],
-                delta=delta,
-            )
-        )
-    return CircumscribedPolygon(tuple(mu), tuple(edges), all(p.is_lattice for p in mu))
+        return CircumscribedPolygon(tuple(mu), tuple(edges), all(p.is_lattice for p in mu))
+
+
+def analyze(fan: Fan, curve: LaurentCurve) -> CurveAnalysis:
+    """One hull pass, one support line per ray from the hull boundary, the
+    degrees by the delta formula on a smooth fan, and Pick's genus."""
+    hull, boundary = convex_hull_with_boundary(support(curve))
+    return _analysis(fan, curve, hull, boundary, pick_interior_points(hull))
+
+
+def _analysis(fan, curve, hull, boundary, genus) -> CurveAnalysis:
+    lines = _support_lines(fan.rays, boundary)
+    report = smoothness(fan)
+    degrees = _degrees(lines) if report.smooth else None
+    return CurveAnalysis(fan, curve, hull, boundary, lines, report, degrees, genus)
+
+
+def _support_lines(rays, points) -> tuple[SupportLine, ...]:
+    """Minimum and minimizers of <., n> over the points, for each ray n.
+    The minimizers keep the order of the points."""
+    xy = [(m.x, m.y) for m in points]
+    out = []
+    for n in rays:
+        nx, ny = n.x, n.y
+        values = [x * nx + y * ny for x, y in xy]
+        lo = min(values)
+        argmin = tuple(m for m, v in zip(points, values) if v == lo)
+        out.append(SupportLine(n, Line(n, lo), argmin))
+    return tuple(out)
+
+
+def _degrees(lines) -> tuple[int, ...]:
+    """delta_i = a_i h_i - h_{i-1} - h_{i+1} with a_i = det(n_{i-1}, n_{i+1});
+    valid on a smooth fan, where n_{i-1} + n_{i+1} = a_i n_i."""
+    c = len(lines)
+    out = []
+    for i, here in enumerate(lines):
+        prev, nxt = lines[i - 1], lines[(i + 1) % c]
+        a = det2(prev.ray, nxt.ray)
+        out.append(a * here.line.level - prev.line.level - nxt.line.level)
+    return tuple(out)
+
+
+def support_lines(fan: Fan, curve: LaurentCurve) -> tuple[SupportLine, ...]:
+    """One support line per ray, in fan order."""
+    return analyze(fan, curve).lines
+
+
+def circumscribed_polygon(fan: Fan, curve: LaurentCurve) -> CircumscribedPolygon:
+    """Corners and sides of the circumscribed polygon, on any complete fan."""
+    return analyze(fan, curve).circumscribed()
 
 
 def boundary_intersections(fan: Fan, curve: LaurentCurve) -> tuple[int, ...]:
     """Intersection numbers of the completed curve with the boundary
-    divisors, in fan order.  Only defined on smooth fans, where every
-    corner of the circumscribed polygon is integral."""
-    report = smoothness(fan)
-    if not report.smooth:
-        raise SingularFanError(
-            f"boundary intersections need a smooth fan, cone indices {report.cone_indices}"
-        )
-    poly = circumscribed_polygon(fan, curve)
-    deltas = []
-    for e in poly.edges:
-        if e.delta is None:
-            raise InternalContradictionError(
-                "non integral corner on a smooth fan"
-            )
-        deltas.append(e.delta)
-    return tuple(deltas)
+    divisors, in fan order.  Only defined on smooth fans."""
+    return analyze(fan, curve).intersections()
 
 
 def anticanonical_degree(fan: Fan, curve: LaurentCurve) -> int:
     """Total boundary intersection number, i.e. the degree against -K."""
-    return sum(boundary_intersections(fan, curve))
+    return sum(analyze(fan, curve).intersections())
 
 
 def chart_decomposition(fan: Fan, curve: LaurentCurve, ray_index: int) -> tuple[int, int, int]:
@@ -242,13 +333,9 @@ def chart_decomposition(fan: Fan, curve: LaurentCurve, ray_index: int) -> tuple[
     the localized curve and the overlap is counted by c, so a + b - c is
     the side's intersection number.
     """
-    report = smoothness(fan)
-    if not report.smooth:
-        raise SingularFanError(
-            f"chart decomposition needs a smooth fan, cone indices {report.cone_indices}"
-        )
-    poly = circumscribed_polygon(fan, curve)
-    e = poly.edges[ray_index % fan.ray_count]
+    analysis = analyze(fan, curve)
+    analysis.smoothness.require("chart decomposition needs a smooth fan")
+    e = analysis.circumscribed().edges[ray_index % fan.ray_count]
     a = lattice_distance(e.nu_minus, e.end.to_lattice())
     b = lattice_distance(e.start.to_lattice(), e.nu_plus)
     c = lattice_distance(e.nu_minus, e.nu_plus)
@@ -334,7 +421,8 @@ def curve_from_json(doc) -> LaurentCurve:
         raise SchemaError("curve document must be a JSON object")
     if "terms" not in doc or not isinstance(doc["terms"], list):
         raise SchemaError("curve document needs a 'terms' list")
-    terms = {}
+    seen = set()
+    terms = []
     for item in doc["terms"]:
         if not isinstance(item, dict) or "exp" not in item:
             raise SchemaError(f"curve term must be an object with 'exp', got {item!r}")
@@ -354,8 +442,12 @@ def curve_from_json(doc) -> LaurentCurve:
             coeff = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad coefficient {raw!r}: {exc}") from None
-        key = LatticeVector(e[0], e[1])
-        if key in terms:
+        key = (e[0], e[1])
+        if key in seen:
             raise DuplicateExponentError(f"exponent {e} appears twice")
-        terms[key] = coeff
-    return LaurentCurve.from_dict(terms)
+        seen.add(key)
+        terms.append((LatticeVector(e[0], e[1]), coeff))
+    for m, coeff in terms:
+        if coeff == 0:
+            raise ZeroCoefficientError(f"zero coefficient at exponent {m}")
+    return _sorted_curve(terms)

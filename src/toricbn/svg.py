@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .fan import Fan
-from .newton import LaurentCurve, circumscribed_polygon, newton_polygon, support
+from .newton import LaurentCurve, analyze, support
 
 UNIT = 40  # pixels per lattice step
 MARGIN = 1  # lattice units of padding around the bounding box
@@ -108,8 +108,9 @@ def render_fan_svg(fan: Fan) -> str:
 def render_polygons_svg(fan: Fan, curve: LaurentCurve) -> str:
     """Newton polygon (filled), circumscribed polygon (thick outline),
     support points (dots) and labeled corner points mu_i."""
-    poly = circumscribed_polygon(fan, curve)
-    hull = newton_polygon(curve)
+    analysis = analyze(fan, curve)
+    poly = analysis.circumscribed()
+    hull = analysis.hull
     pts = support(curve)
 
     xs = [m.x for m in pts]

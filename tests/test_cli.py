@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestDegree:
         code2, doc2 = run_json(capsys, ["degree", second, "--json"])
         assert code2 == 0
         assert doc2["boundary_intersections"] == doc["boundary_intersections"]
+
+    def test_large_span_triangle(self, tmp_path, capsys):
+        # the bounding box holds 10^12 lattice points: degrees and genus
+        # must come from the hull, not from a scan
+        n = 10**6
+        doc = {
+            "fan": {"preset": "P2"},
+            "curve": {"terms": [{"exp": [0, 0]}, {"exp": [n, 0]}, {"exp": [0, n]}]},
+        }
+        path = write_doc(tmp_path, doc)
+        t0 = time.perf_counter()
+        code, rep = run_json(capsys, ["degree", path, "--json"])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert rep["arithmetic_genus"] == (n - 1) * (n - 2) // 2
+        assert rep["boundary_intersections"] == [n, n, n]
+        assert rep["anticanonical_degree"] == 3 * n
+        assert elapsed < 2.0
 
 
 class TestClassifyCommand:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import curves, lattice_vectors, nonzero_vectors, sl2_matrices, smooth_fans
 from toricbn import (
     LatticeVector,
+    analyze,
     arithmetic_genus,
     blow_up,
     boundary_intersections,
@@ -22,6 +23,7 @@ from toricbn import (
     circumscribed_polygon,
     classify,
     convex_hull,
+    convex_hull_with_boundary,
     delete_rays,
     det2,
     expected_dim_maps_projective,
@@ -29,12 +31,16 @@ from toricbn import (
     lattice_distance,
     laurent_curve,
     line_witness_scan,
+    newton_polygon,
+    opposite_ray_pairs,
     pairing,
+    pick_interior_points,
     preset,
     rho,
     rotate_cw,
     smoothness,
     vec,
+    zero_sum_triples,
 )
 
 
@@ -224,3 +230,92 @@ class TestGenusVsPick:
         b = boundary_lattice_points(hull)
         expect = (hull.twice_area() - b + 2) // 2
         assert arithmetic_genus(curve) == expect
+
+
+# rays that keep any fan containing them complete, plus small primitive
+# extras; the extras make singular fans and many zero-sum triples
+_ANCHORS = (vec(1, 0), vec(0, 1), vec(-1, -1))
+_SMALL_PRIMITIVE = [
+    vec(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1
+]
+
+
+@st.composite
+def complete_fans(draw):
+    """A complete fan, usually singular: the anchors plus random rays."""
+    extra = draw(st.lists(st.sampled_from(_SMALL_PRIMITIVE), max_size=14, unique=True))
+    return build_fan(list(dict.fromkeys(list(_ANCHORS) + extra)))
+
+
+def _xy(v):
+    return (v.x, v.y)
+
+
+class TestAnalysisAgainstOracles:
+    """The hull-based analysis against independent derivations."""
+
+    @given(st.one_of(smooth_fans(), complete_fans()), curves(max_terms=12))
+    def test_support_lines_match_brute_force_over_all_terms(self, fan, curve):
+        pts = [m for m, _ in curve.terms]
+        lines = analyze(fan, curve).lines
+        assert [sl.ray for sl in lines] == list(fan.rays)
+        for sl in lines:
+            values = [pairing(m, sl.ray) for m in pts]
+            lo = min(values)
+            assert sl.line.level == lo
+            assert sl.argmin == tuple(m for m, v in zip(pts, values) if v == lo)
+
+    @given(smooth_fans(), curves(max_terms=12))
+    def test_delta_formula_matches_corner_lengths(self, fan, curve):
+        analysis = analyze(fan, curve)
+        poly = circumscribed_polygon(fan, curve)
+        lengths = tuple(
+            lattice_distance(e.start.to_lattice(), e.end.to_lattice()) for e in poly.edges
+        )
+        assert analysis.degrees == lengths
+        assert boundary_intersections(fan, curve) == lengths
+
+    @given(complete_fans(), curves())
+    def test_degrees_only_on_smooth_fans(self, fan, curve):
+        analysis = analyze(fan, curve)
+        assert (analysis.degrees is None) == (not smoothness(fan).smooth)
+
+    @given(curves(min_terms=2, max_terms=12))
+    def test_pick_genus_matches_interior_scan(self, curve):
+        scan = interior_lattice_points(newton_polygon(curve))
+        assert arithmetic_genus(curve) == scan
+        assert analyze(preset("P2"), curve).genus == scan
+
+    @given(st.lists(lattice_vectors, min_size=1, max_size=14))
+    @settings(max_examples=300)
+    def test_pick_count_matches_interior_scan(self, pts):
+        hull = convex_hull(pts)
+        assert pick_interior_points(hull) == interior_lattice_points(hull)
+
+    @given(st.lists(st.builds(vec, st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_hull_boundary_points_match_brute_force(self, pts):
+        hull, boundary = convex_hull_with_boundary(pts)
+        on_boundary = {p for p in pts if hull.contains(p) and not hull.contains(p, strict=True)}
+        assert list(boundary) == sorted(on_boundary, key=_xy)
+        assert hull == convex_hull(pts)
+        assert set(hull.vertices) <= set(boundary)
+
+    @given(st.one_of(smooth_fans(), complete_fans()))
+    @settings(max_examples=200)
+    def test_pairs_and_triples_match_brute_force(self, fan):
+        rays = fan.rays
+        c = len(rays)
+        pairs = [(i, j) for i in range(c) for j in range(i + 1, c) if (rays[i] + rays[j]).is_zero()]
+        triples = [
+            (i, j, k)
+            for i in range(c)
+            for j in range(i + 1, c)
+            for k in range(j + 1, c)
+            if (rays[i] + rays[j] + rays[k]).is_zero()
+        ]
+        assert opposite_ray_pairs(fan) == pairs
+        found = zero_sum_triples(fan)
+        assert [t for t, _ in found] == triples
+        for (i, j, k), plane in found:
+            assert plane.rays == build_fan([rays[i], rays[j], rays[k]]).rays

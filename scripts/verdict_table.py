@@ -11,7 +11,7 @@ expected dimension of the ambient space of maps, and the verdict tag.
 
 import argparse
 
-from toricbn import bn_verdict, verdict_to_json
+from toricbn import bn_verdict, to_json
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
             v = bn_verdict(
                 args.genus, m, image_degree=deg, image_genus=args.image_genus
             )
-            doc = verdict_to_json(v)
+            doc = to_json(v)
             family = doc.get("family_dim", "")
             excess = doc.get("excess", "")
             print(

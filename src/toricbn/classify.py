@@ -16,11 +16,13 @@ the verdict logic for multiple cover families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
+from fractions import Fraction
 
 from .errors import DomainError, InternalContradictionError
 from .fan import Fan, FakePlane, make_fake_plane, opposite_ray_pairs, zero_sum_triples
-from .lattice import LatticeVector
+from .lattice import LatticeVector, RationalPoint
 from .newton import (
     BoundaryEdge,
     CurveAnalysis,
@@ -156,6 +158,8 @@ class PairWitness:
     rays: tuple[LatticeVector, LatticeVector]
     contracted_direction: LatticeVector
 
+    kind = "pair"
+
 
 @dataclass(frozen=True)
 class TripleWitness:
@@ -166,6 +170,8 @@ class TripleWitness:
     triple: tuple[int, int, int]
     rays: tuple[LatticeVector, LatticeVector, LatticeVector]
     fake_plane: FakePlane
+
+    kind = "triple"
 
 
 Witness = PairWitness | TripleWitness
@@ -424,96 +430,49 @@ def bn_verdict(
 # JSON wire format
 
 
-def _rational_str(q) -> str:
-    return str(q)
+_SCALARS = frozenset((int, str, bool, type(None)))
 
 
-def _point_json(p) -> list[str]:
-    return [_rational_str(p.x), _rational_str(p.y)]
+def to_json(obj):
+    """Plain JSON value of a report, a record or a list of them.
+
+    Lists, tuples and dicts are converted item by item.  A LatticeVector is
+    [x, y], a RationalPoint [x, y] of exact 'p/q' strings, a Fraction its
+    exact string and a LaurentCurve the {"terms": [{"exp", "coeff"}]}
+    document that curve_from_json reads back.  A Verdict is one flat object:
+    its outcome's tag, its own fields, then the outcome's fields.  Any other
+    dataclass gives its class's tag or kind attribute first, then its fields
+    in declaration order; a fan is therefore {"rays": [...]}, the document
+    fan_from_json reads back.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        return [x if type(x) in _SCALARS else to_json(x) for x in obj]
+    if t is LatticeVector:
+        return [obj.x, obj.y]
+    if t in _SCALARS:
+        return obj
+    if t is dict:
+        return {k: v if type(v) in _SCALARS else to_json(v) for k, v in obj.items()}
+    if t is RationalPoint:
+        return [str(obj.x), str(obj.y)]
+    if t is Fraction:
+        return str(obj)
+    if t is LaurentCurve:
+        return {"terms": [{"exp": [m.x, m.y], "coeff": str(c)} for m, c in obj.terms]}
+    head, names = _layout(t)
+    doc = dict(head)
+    for name in names:
+        v = getattr(obj, name)
+        doc[name] = v if type(v) in _SCALARS else to_json(v)
+    if t is Verdict:
+        outcome = doc.pop("outcome")
+        return {"tag": outcome.pop("tag"), **doc, **outcome}
+    return doc
 
 
-def _edge_json(e: BoundaryEdge) -> dict:
-    return {
-        "ray_index": e.ray_index,
-        "ray": [e.ray.x, e.ray.y],
-        "start": _point_json(e.start),
-        "end": _point_json(e.end),
-        "nu_minus": [e.nu_minus.x, e.nu_minus.y],
-        "nu_plus": [e.nu_plus.x, e.nu_plus.y],
-        "delta": e.delta,
-    }
-
-
-def _fake_plane_json(p: FakePlane) -> dict:
-    return {
-        "rays": [[n.x, n.y] for n in p.rays],
-        "is_projective_plane": p.is_projective_plane,
-        "cone_indices": list(p.cone_indices),
-    }
-
-
-def classification_to_json(c: Classification) -> dict:
-    if isinstance(c, HighDegree):
-        return {"tag": c.tag, "degree": c.degree}
-    if isinstance(c, FiberOfProjection):
-        return {
-            "tag": c.tag,
-            "degree": c.degree,
-            "ray_pair": list(c.ray_pair),
-            "rays": [[n.x, n.y] for n in c.rays],
-            "contracted_direction": [c.contracted_direction.x, c.contracted_direction.y],
-        }
-    if isinstance(c, MapsToFakePlane):
-        return {
-            "tag": c.tag,
-            "degree": c.degree,
-            "ray_triple": list(c.ray_triple),
-            "rays": [[n.x, n.y] for n in c.rays],
-            "fake_plane": _fake_plane_json(c.fake_plane),
-            "primitive_certificate": [_edge_json(e) for e in c.primitive_certificate],
-        }
-    raise TypeError(f"not a classification: {c!r}")
-
-
-def witness_to_json(w: Witness) -> dict:
-    if isinstance(w, PairWitness):
-        return {
-            "kind": "pair",
-            "pair": list(w.pair),
-            "rays": [[n.x, n.y] for n in w.rays],
-            "contracted_direction": [w.contracted_direction.x, w.contracted_direction.y],
-        }
-    if isinstance(w, TripleWitness):
-        return {
-            "kind": "triple",
-            "triple": list(w.triple),
-            "rays": [[n.x, n.y] for n in w.rays],
-            "fake_plane": _fake_plane_json(w.fake_plane),
-        }
-    raise TypeError(f"not a witness: {w!r}")
-
-
-def verdict_to_json(v: Verdict) -> dict:
-    out = {
-        "tag": v.outcome.tag,
-        "genus": v.genus,
-        "cover_degree": v.cover_degree,
-        "image_degree": v.image_degree,
-        "expected_dim": v.expected_dim,
-    }
-    o = v.outcome
-    if isinstance(o, ExpectedDimension):
-        out["generically_smooth"] = o.generically_smooth
-    elif isinstance(o, NoSuchCovers):
-        out["reason"] = o.reason
-    elif isinstance(o, ObstructedComponent):
-        out["family_dim"] = o.family_dim
-        out["excess"] = o.excess
-        out["witness"] = None if o.witness is None else classification_to_json(o.witness)
-    elif isinstance(o, BoundarySpecialCase):
-        out["family_dim"] = o.family_dim
-    elif isinstance(o, NotAComponent):
-        out["family_dim"] = o.family_dim
-    elif isinstance(o, LowDegreeBirational):
-        out["witness"] = None if o.witness is None else classification_to_json(o.witness)
-    return out
+@functools.cache
+def _layout(cls) -> tuple[dict, tuple[str, ...]]:
+    """The class attribute labels and the field names of a dataclass."""
+    names = tuple(f.name for f in fields(cls))
+    return {k: getattr(cls, k) for k in ("tag", "kind") if hasattr(cls, k)}, names

@@ -26,7 +26,6 @@ import sys
 
 from .classify import (
     bn_verdict,
-    classification_to_json,
     classify,
     expected_dim_maps_projective,
     expected_dim_maps_surface,
@@ -35,21 +34,17 @@ from .classify import (
     multiple_cover_excess,
     rho,
     severi_dim,
-    verdict_to_json,
-    witness_to_json,
-    _edge_json,
-    _fake_plane_json,
+    to_json,
 )
 from .errors import DomainError, SchemaError
 from .fan import (
     class_group,
     fan_from_json,
-    fan_to_json,
     opposite_ray_pairs,
     smoothness,
     zero_sum_triples,
 )
-from .newton import analyze, curve_from_json, curve_to_json
+from .newton import analyze, curve_from_json
 from .svg import render_fan_svg, render_polygons_svg
 
 _FORMULAS = {
@@ -123,7 +118,9 @@ def _load_doc(path: str) -> dict:
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("input document must be a JSON object")
@@ -156,38 +153,29 @@ def _doc_int(doc: dict, key: str, override, required: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# command handlers, each returning the report dictionary
+# command handlers, each returning the report: a dictionary of plain values
+# and library records, which to_json turns into plain JSON
 
 
 def _cmd_fan_check(args) -> dict:
     doc = _load_doc(args.input)
     fan = _doc_fan(doc)
     rep = smoothness(fan)
-    cg = class_group(fan)
     return {
         "command": "fan-check",
-        "fan": fan_to_json(fan),
+        "fan": fan,
         "ray_count": fan.ray_count,
         "smooth": rep.smooth,
-        "cone_indices": list(rep.cone_indices),
-        "class_group": {
-            "rank": cg.rank,
-            "torsion": list(cg.torsion),
-            "ray_classes": [list(v) for v in cg.ray_classes],
-        },
+        "cone_indices": rep.cone_indices,
+        "class_group": class_group(fan),
         "opposite_ray_pairs": [
-            {"indices": [i, j], "rays": [[fan.rays[i].x, fan.rays[i].y], [fan.rays[j].x, fan.rays[j].y]]}
+            {"indices": (i, j), "rays": (fan.rays[i], fan.rays[j])}
             for i, j in opposite_ray_pairs(fan)
         ],
         "zero_sum_triples": [
-            {"indices": list(t), "fake_plane": _fake_plane_json(p)}
-            for t, p in zero_sum_triples(fan)
+            {"indices": t, "fake_plane": p} for t, p in zero_sum_triples(fan)
         ],
     }
-
-
-def _smoothness_json(rep) -> dict:
-    return {"smooth": rep.smooth, "cone_indices": list(rep.cone_indices)}
 
 
 def _cmd_degree(args) -> dict:
@@ -196,32 +184,24 @@ def _cmd_degree(args) -> dict:
     curve = _doc_curve(doc)
     analysis = analyze(fan, curve)
     deltas = analysis.intersections()
-    poly = analysis.circumscribed()
     hull = analysis.hull
     return {
         "command": "degree",
-        "fan": fan_to_json(fan),
-        "curve": curve_to_json(curve),
-        "boundary_intersections": list(deltas),
+        "fan": fan,
+        "curve": curve,
+        "boundary_intersections": deltas,
         "anticanonical_degree": sum(deltas),
         "arithmetic_genus": analysis.genus,
         "diagnostics": {
-            "smoothness": _smoothness_json(analysis.smoothness),
+            "smoothness": analysis.smoothness,
             "assume_integral": bool(args.assume_integral),
         },
-        "newton_polygon": {
-            "kind": hull.kind,
-            "vertices": [[v.x, v.y] for v in hull.vertices],
-        },
+        "newton_polygon": {"kind": hull.kind, "vertices": hull.vertices},
         "support_lines": [
-            {
-                "ray": [sl.ray.x, sl.ray.y],
-                "level": sl.line.level,
-                "argmin": [[m.x, m.y] for m in sl.argmin],
-            }
+            {"ray": sl.ray, "level": sl.line.level, "argmin": sl.argmin}
             for sl in analysis.lines
         ],
-        "edges": [_edge_json(e) for e in poly.edges],
+        "edges": analysis.circumscribed().edges,
     }
 
 
@@ -241,7 +221,7 @@ def _orientation_note(fan, curve, cls) -> dict | None:
             "classifies differently; check the sign convention of the "
             "singular triple"
         ),
-        "negated_fan": fan_to_json(neg),
+        "negated_fan": neg,
         "negated_tag": neg_cls.tag,
         "negated_degree": neg_cls.degree,
     }
@@ -255,12 +235,12 @@ def _cmd_classify(args) -> dict:
     witnesses = line_witness_scan(fan, curve)
     return {
         "command": "classify",
-        "fan": fan_to_json(fan),
-        "curve": curve_to_json(curve),
-        "classification": classification_to_json(cls),
-        "witnesses": [witness_to_json(w) for w in witnesses],
+        "fan": fan,
+        "curve": curve,
+        "classification": cls,
+        "witnesses": witnesses,
         "diagnostics": {
-            "smoothness": _smoothness_json(smoothness(fan)),
+            "smoothness": smoothness(fan),
             "assume_integral": bool(args.assume_integral),
             "orientation_note": _orientation_note(fan, curve, cls),
         },
@@ -279,9 +259,9 @@ def _cmd_verdict(args) -> dict:
     )
     return {
         "command": "verdict",
-        "fan": fan_to_json(fan),
-        "curve": curve_to_json(curve),
-        "verdict": verdict_to_json(verdict),
+        "fan": fan,
+        "curve": curve,
+        "verdict": verdict,
     }
 
 
@@ -296,8 +276,8 @@ def _cmd_dims(args) -> dict:
     return {
         "command": "dims",
         "formula": args.formula,
-        "arguments": list(args.values),
-        "argument_names": list(names),
+        "arguments": args.values,
+        "argument_names": names,
         "value": value,
     }
 
@@ -354,6 +334,22 @@ def _human_lines(value, key: str | None = None, indent: int = 0) -> list[str]:
     return [f"{pad}{label}{json.dumps(value)}"]
 
 
+def _format(report: dict, as_json: bool) -> str:
+    """The printed form of a report, as JSON or as plain text.  The only
+    ValueError printing raises is an integer above the interpreter's digit
+    limit for string conversion (a Fraction prints its integers too)."""
+    try:
+        doc = to_json(report)
+        if as_json:
+            return json.dumps(doc, sort_keys=True, indent=2)
+        return "\n".join(_human_lines(doc))
+    except ValueError:
+        raise DomainError(
+            f"an output number exceeds the {sys.get_int_max_str_digits()}-digit "
+            "limit for integer string conversion"
+        ) from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -361,7 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        report = _HANDLERS[args.command](args)
+        text = _format(_HANDLERS[args.command](args), args.json)
     except SchemaError as exc:
         print(f"toricbn: parse error: {exc}", file=sys.stderr)
         return 1
@@ -371,10 +367,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"toricbn: io error: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_human_lines(report)))
+    print(text)
     return 0
 
 

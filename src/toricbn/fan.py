@@ -411,11 +411,6 @@ def anticanonical_pairing(fan: Fan, intersections) -> int:
 # JSON wire format
 
 
-def fan_to_json(fan: Fan) -> dict:
-    """Normalized document form: always explicit rays, in fan order."""
-    return {"rays": [[n.x, n.y] for n in fan.rays]}
-
-
 def _pair_from_json(obj, what: str) -> LatticeVector:
     if (
         not isinstance(obj, (list, tuple))

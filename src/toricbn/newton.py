@@ -401,16 +401,6 @@ def is_fiber_of(curve: LaurentCurve, fan: Fan) -> list[tuple[int, int]]:
 # JSON wire format
 
 
-def curve_to_json(curve: LaurentCurve) -> dict:
-    """Normalized form: terms sorted by exponent, coefficients as exact
-    'p/q' strings (or plain integer strings)."""
-    return {
-        "terms": [
-            {"exp": [m.x, m.y], "coeff": str(c)} for m, c in curve.terms
-        ]
-    }
-
-
 def curve_from_json(doc) -> LaurentCurve:
     """Parse {"terms": [{"exp": [a, b], "coeff": "p/q"}, ...]}.
 

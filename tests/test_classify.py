@@ -18,7 +18,6 @@ from toricbn import (
     TripleWitness,
     bn_verdict,
     build_fan,
-    classification_to_json,
     classify,
     expected_dim_maps_projective,
     expected_dim_maps_surface,
@@ -29,8 +28,8 @@ from toricbn import (
     preset,
     rho,
     severi_dim,
+    to_json,
     vec,
-    verdict_to_json,
 )
 
 NINE_RAY_FIXED = [
@@ -108,7 +107,7 @@ class TestClassify:
     def test_json_shapes(self):
         fan = preset("Bl3P2")
         cls = classify(fan, laurent_curve({(1, 0): 1, (0, 1): 1, (1, 1): 1}))
-        doc = classification_to_json(cls)
+        doc = to_json(cls)
         assert doc["tag"] == "maps_to_fake_plane"
         assert doc["degree"] == 3
         assert doc["fake_plane"]["is_projective_plane"] is True
@@ -277,7 +276,7 @@ class TestVerdicts:
             bn_verdict(0, 2, image_degree=3, image_genus=2)
 
     def test_verdict_json(self):
-        doc = verdict_to_json(bn_verdict(4, 3, image_degree=4))
+        doc = to_json(bn_verdict(4, 3, image_degree=4))
         assert doc["tag"] == "boundary_special_case"
         assert doc["genus"] == 4
         assert doc["cover_degree"] == 3

@@ -263,6 +263,49 @@ class TestExitCodes:
         assert "fan-check" in capsys.readouterr().out
 
 
+class TestOversizedInput:
+    """Input past the interpreter's limits is an error report, never a
+    traceback: nesting too deep or an integer literal too long to read is a
+    parse error, and an output number too long to print is invalid input."""
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        assert main(["degree", str(p)]) == 1
+        assert "parse error" in capsys.readouterr().err
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path, capsys):
+        p = tmp_path / "bigint.json"
+        p.write_text(
+            '{"fan": {"preset": "P2"}, "curve": {"terms": '
+            '[{"exp": [0, 0]}, {"exp": [' + "1" * 5000 + ', 0]}]}}'
+        )
+        assert main(["degree", str(p), "--json"]) == 1
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_json", ([], ["--json"]), ids=("human", "json"))
+    def test_coefficient_too_long_to_print(self, tmp_path, capsys, as_json):
+        doc = {
+            "fan": {"preset": "P2"},
+            "curve": {"terms": [{"exp": [0, 0], "coeff": "1e5000"}, {"exp": [1, 0]}, {"exp": [0, 1]}]},
+        }
+        assert main(["degree", write_doc(tmp_path, doc)] + as_json) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in captured.err
+
+    def test_genus_too_long_to_print(self, tmp_path, capsys):
+        n = 10**2500
+        doc = {
+            "fan": {"preset": "P2"},
+            "curve": {"terms": [{"exp": [0, 0]}, {"exp": [n, 0]}, {"exp": [0, n]}]},
+        }
+        assert main(["degree", write_doc(tmp_path, doc), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in captured.err
+
+
 class TestByteStability:
     def test_json_reports_are_stable(self, tmp_path, capsys):
         path = write_doc(tmp_path, PRINTED_NINE)

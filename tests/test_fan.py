@@ -17,11 +17,11 @@ from toricbn import (
     delete_rays,
     det2,
     fan_from_json,
-    fan_to_json,
     make_fake_plane,
     opposite_ray_pairs,
     preset,
     smoothness,
+    to_json,
     vec,
     zero_sum_triples,
 )
@@ -328,7 +328,7 @@ class TestConeTiling:
 class TestFanJson:
     def test_round_trip(self):
         fan = build_fan(NINE_RAY_FIXED)
-        assert fan_from_json(fan_to_json(fan)) == fan
+        assert fan_from_json(to_json(fan)) == fan
 
     def test_preset_documents(self):
         assert fan_from_json({"preset": "P2"}) == preset("P2")

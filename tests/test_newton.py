@@ -25,7 +25,6 @@ from toricbn import (
     chart_decomposition,
     circumscribed_polygon,
     curve_from_json,
-    curve_to_json,
     evaluate,
     is_contracted_by_projection,
     is_fiber_of,
@@ -36,6 +35,7 @@ from toricbn import (
     rational_point_of,
     support,
     support_lines,
+    to_json,
     vec,
 )
 
@@ -320,7 +320,7 @@ class TestNewtonPolygon:
 class TestCurveJson:
     def test_round_trip(self):
         curve = laurent_curve({(2, 1): 1, (0, 0): "-3/2", (-1, 4): 7})
-        doc = curve_to_json(curve)
+        doc = to_json(curve)
         assert curve_from_json(doc) == curve
         # coefficients serialize as exact strings
         coeffs = {tuple(t["exp"]): t["coeff"] for t in doc["terms"]}

@@ -4,10 +4,11 @@ Each property here is an exact combinatorial statement, so a single
 counterexample is a genuine bug, never noise.
 """
 
+import json
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import curves, lattice_vectors, nonzero_vectors, sl2_matrices, smooth_fans
@@ -24,9 +25,11 @@ from toricbn import (
     classify,
     convex_hull,
     convex_hull_with_boundary,
+    curve_from_json,
     delete_rays,
     det2,
     expected_dim_maps_projective,
+    fan_from_json,
     interior_lattice_points,
     lattice_distance,
     laurent_curve,
@@ -39,6 +42,7 @@ from toricbn import (
     rho,
     rotate_cw,
     smoothness,
+    to_json,
     vec,
     zero_sum_triples,
 )
@@ -319,3 +323,17 @@ class TestAnalysisAgainstOracles:
         assert [t for t, _ in found] == triples
         for (i, j, k), plane in found:
             assert plane.rays == build_fan([rays[i], rays[j], rays[k]]).rays
+
+
+class TestJsonRoundTrip:
+    """to_json writes the documents the parsers read: a fan and a curve come
+    back equal after a trip through JSON text."""
+
+    @given(smooth_fans())
+    def test_fan(self, fan):
+        assert fan_from_json(json.loads(json.dumps(to_json(fan)))) == fan
+
+    @given(curves())
+    @example(laurent_curve({(-3, 1): "-7/2", (2, -4): "5/3", (0, 0): 4}))
+    def test_curve(self, curve):
+        assert curve_from_json(json.loads(json.dumps(to_json(curve)))) == curve

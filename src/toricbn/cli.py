@@ -21,8 +21,10 @@ input, 3 input/output failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .classify import (
     bn_verdict,
@@ -57,7 +59,10 @@ _FORMULAS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    main() call: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="toricbn",
         description="Exact boundary degrees, curve classification and "
@@ -114,8 +119,11 @@ def _load_doc(path: str) -> dict:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -334,6 +342,54 @@ def _human_lines(value, key: str | None = None, indent: int = 0) -> list[str]:
     return [f"{pad}{label}{json.dumps(value)}"]
 
 
+def _dumps(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), written in
+    one pass.  With indent set the stdlib runs its generator-based
+    pure-Python encoder, which cost more than the math of a large report.
+
+    Covers the values to_json returns: dicts with str keys, lists, str, int,
+    bool and None.  An int past the digit limit for string conversion raises
+    ValueError, as json.dumps does.
+    """
+    out = []
+    _write(out.append, value, "\n")
+    return "".join(out)
+
+
+def _write(put, v, pad: str) -> None:
+    """Append the pieces of one value, nested at the indent ``pad``.  A
+    module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep every piece alive until the cyclic
+    garbage collector runs."""
+    t = type(v)
+    if t is str:
+        put(_escape(v))
+    elif t is int:
+        put(int.__repr__(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif t is list:
+        inner = pad + "  "
+        put("[")
+        for i, item in enumerate(v):
+            put("," + inner if i else inner)
+            _write(put, item, inner)
+        put(pad + "]" if v else "]")
+    elif t is dict:
+        inner = pad + "  "
+        put("{")
+        for i, (key, item) in enumerate(sorted(v.items())):
+            put(("," + inner if i else inner) + _escape(key) + ": ")
+            _write(put, item, inner)
+        put(pad + "}" if v else "}")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _format(report: dict, as_json: bool) -> str:
     """The printed form of a report, as JSON or as plain text.  The only
     ValueError printing raises is an integer above the interpreter's digit
@@ -341,7 +397,7 @@ def _format(report: dict, as_json: bool) -> str:
     try:
         doc = to_json(report)
         if as_json:
-            return json.dumps(doc, sort_keys=True, indent=2)
+            return _dumps(doc)
         return "\n".join(_human_lines(doc))
     except ValueError:
         raise DomainError(

@@ -401,6 +401,18 @@ def is_fiber_of(curve: LaurentCurve, fan: Fan) -> list[tuple[int, int]]:
 # JSON wire format
 
 
+def _coefficient(raw) -> Fraction:
+    """The exact value of a JSON coefficient: an integer or a 'p/q' string."""
+    if isinstance(raw, bool) or isinstance(raw, float):
+        raise SchemaError(f"coefficient {raw!r} is not exact, use 'p/q' strings")
+    if not isinstance(raw, (int, str)):
+        raise SchemaError(f"cannot read coefficient {raw!r}")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad coefficient {raw!r}: {exc}") from None
+
+
 def curve_from_json(doc) -> LaurentCurve:
     """Parse {"terms": [{"exp": [a, b], "coeff": "p/q"}, ...]}.
 
@@ -411,33 +423,39 @@ def curve_from_json(doc) -> LaurentCurve:
         raise SchemaError("curve document must be a JSON object")
     if "terms" not in doc or not isinstance(doc["terms"], list):
         raise SchemaError("curve document needs a 'terms' list")
+    parsed = {}  # each distinct int or str coefficient, parsed once
     seen = set()
     terms = []
+    zero = None
     for item in doc["terms"]:
-        if not isinstance(item, dict) or "exp" not in item:
+        if not (type(item) is dict or isinstance(item, dict)) or "exp" not in item:
             raise SchemaError(f"curve term must be an object with 'exp', got {item!r}")
         e = item["exp"]
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(t, int) and not isinstance(t, bool) for t in e)
-        ):
-            raise SchemaError(f"'exp' must be a pair of integers, got {e!r}")
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(t, int) and not isinstance(t, bool) for t in e)
+            ):
+                raise SchemaError(f"'exp' must be a pair of integers, got {e!r}")
+        m = LatticeVector(e[0], e[1])
         raw = item.get("coeff", "1")
-        if isinstance(raw, bool) or isinstance(raw, float):
-            raise SchemaError(f"coefficient {raw!r} is not exact, use 'p/q' strings")
-        if not isinstance(raw, (int, str)):
-            raise SchemaError(f"cannot read coefficient {raw!r}")
-        try:
-            coeff = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad coefficient {raw!r}: {exc}") from None
+        # True == 1 and 1.0 == 1 hash alike, so only exact int and str are keys
+        cacheable = type(raw) is str or type(raw) is int
+        coeff = parsed.get(raw) if cacheable else None
+        if coeff is None:
+            coeff = _coefficient(raw)
+            if cacheable:
+                parsed[raw] = coeff
+            # the first term with a zero coefficient holds the first
+            # occurrence of its raw value, so only a fresh parse can be it
+            if zero is None and coeff == 0:
+                zero = m
         key = (e[0], e[1])
         if key in seen:
             raise DuplicateExponentError(f"exponent {e} appears twice")
         seen.add(key)
-        terms.append((LatticeVector(e[0], e[1]), coeff))
-    for m, coeff in terms:
-        if coeff == 0:
-            raise ZeroCoefficientError(f"zero coefficient at exponent {m}")
+        terms.append((m, coeff))
+    if zero is not None:
+        raise ZeroCoefficientError(f"zero coefficient at exponent {zero}")
     return _sorted_curve(terms)

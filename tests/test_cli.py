@@ -1,13 +1,18 @@
 """End to end command line behavior, exercised in process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import toricbn
 from toricbn.cli import main
+
+SRC = str(Path(toricbn.__file__).resolve().parents[1])
 
 P2_SQUARE = {
     "fan": {"preset": "P2"},
@@ -44,6 +49,18 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_fresh(argv):
+    """One run of ``python -m toricbn.cli`` in a new interpreter, with help
+    text wrapped at 80 columns."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-m", "toricbn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 class TestFanCheck:
@@ -255,6 +272,15 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["fan-check", "/no/such/file.json"]) == 3
 
+    def test_file_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"fan": {"preset": "P2\xff"}}')
+        done = run_fresh(["fan-check", str(p)])
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "parse error" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -315,6 +341,36 @@ class TestByteStability:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestParserReuse:
+    """main() builds its parser once and reuses it: no flag or default of
+    one call may leak into the next, so each call prints what a fresh
+    process prints for the same argv."""
+
+    def test_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = write_doc(tmp_path, dict(P2_SQUARE, genus=0, cover_degree=1))
+        nine = write_doc(tmp_path, PRINTED_NINE, "nine.json")
+        sequence = [
+            ["verdict", path, "--genus", "5", "--json"],
+            ["verdict", path, "--json"],
+            ["verdict", path, "--image-genus", "2"],
+            ["verdict", path],
+            ["--help"],
+            ["degree", path, "--json"],
+            ["classify", nine, "--no-assume-integral"],
+            ["classify", nine],
+        ]
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = run_fresh(argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            ), argv
 
 
 @pytest.mark.skipif(

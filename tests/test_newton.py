@@ -8,6 +8,8 @@ linear systems, and the side lengths are coordinate gcds.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toricbn import (
     DuplicateExponentError,
@@ -349,3 +351,48 @@ class TestCurveJson:
             curve_from_json({"terms": [{"exp": [0, 0]}, {"exp": [0, 0]}]})
         with pytest.raises(TooFewTermsError):
             curve_from_json({"terms": [{"exp": [0, 0]}]})
+
+    def test_bool_and_float_never_reuse_an_integer_coefficient(self):
+        # True == 1 == 1.0 with equal hashes: an earlier coeff 1 must not
+        # let a later true or 1.0 through
+        for bad in (True, 1.0):
+            with pytest.raises(SchemaError):
+                curve_from_json(
+                    {"terms": [{"exp": [0, 0], "coeff": 1}, {"exp": [1, 0], "coeff": bad}]}
+                )
+
+    def test_first_zero_coefficient_is_named(self):
+        doc = {
+            "terms": [
+                {"exp": [0, 0]},
+                {"exp": [2, 0], "coeff": "0"},
+                {"exp": [1, 0], "coeff": 0},
+                {"exp": [3, 0], "coeff": "0"},
+            ]
+        }
+        with pytest.raises(ZeroCoefficientError, match="x=2, y=0"):
+            curve_from_json(doc)
+
+    def test_later_schema_error_wins_over_earlier_zero(self):
+        doc = {"terms": [{"exp": [0, 0], "coeff": "0"}, {"exp": [1, 0]}, {"exp": [2]}]}
+        with pytest.raises(SchemaError):
+            curve_from_json(doc)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+            st.sampled_from([None, 1, -1, 7, 10**30, "1", "-1", "3/7", "-3/7", "6/14", " 2/4 "]),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_coefficients_match_fraction(self, raws):
+        # None stands for a term without 'coeff', which means 1
+        terms = [
+            {"exp": list(e)} if raw is None else {"exp": list(e), "coeff": raw}
+            for e, raw in raws.items()
+        ]
+        curve = curve_from_json({"terms": terms})
+        assert {(m.x, m.y): c for m, c in curve.terms} == {
+            e: Fraction(1 if raw is None else raw) for e, raw in raws.items()
+        }

@@ -4,10 +4,13 @@ Each property here is an exact combinatorial statement, so a single
 counterexample is a genuine bug, never noise.
 """
 
+import gc
 import json
 import math
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +49,7 @@ from toricbn import (
     vec,
     zero_sum_triples,
 )
+from toricbn.cli import _dumps
 
 
 def apply_to_ray(A, n: LatticeVector) -> LatticeVector:
@@ -337,3 +341,56 @@ class TestJsonRoundTrip:
     @example(laurent_curve({(-3, 1): "-7/2", (2, -4): "5/3", (0, 0): 4}))
     def test_curve(self, curve):
         assert curve_from_json(json.loads(json.dumps(to_json(curve)))) == curve
+
+
+# text with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates, which json.dumps escapes as \udxxx
+json_text = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u00e9\u2028\ud800\udfff\U0001f600'),
+    ),
+    max_size=12,
+)
+
+plain_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | json_text,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(json_text, children, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """The CLI's one-pass writer gives the bytes of the stdlib's
+    json.dumps(sort_keys=True, indent=2) on every plain value to_json can
+    return."""
+
+    @given(plain_json)
+    @example([])
+    @example({})
+    @example({"a": [], "b": {}, "c": [[{}], {"d": [None, True, False, -1]}]})
+    def test_matches_stdlib(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would hold every piece of the text until the cyclic
+        # collector runs, which raised the CLI's peak memory on big reports
+        gc.collect()
+        gc.disable()
+        try:
+            _dumps({"terms": [{"exp": [0, 1], "coeff": "1/2"}], "genus": None})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_integer_past_the_digit_limit(self):
+        # what makes TestOversizedInput's output cases exit 2
+        big = 10 ** sys.get_int_max_str_digits()
+        with pytest.raises(ValueError):
+            _dumps({"genus": [big]})

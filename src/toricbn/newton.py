@@ -423,12 +423,15 @@ def curve_from_json(doc) -> LaurentCurve:
         raise SchemaError("curve document must be a JSON object")
     if "terms" not in doc or not isinstance(doc["terms"], list):
         raise SchemaError("curve document needs a 'terms' list")
-    parsed = {}  # each distinct int or str coefficient, parsed once
+    # Coefficients repeat within a curve (an omitted coeff reads "1"), and
+    # Fraction(str) is a regex match, so each distinct raw value is parsed
+    # once; a curve of distinct coefficients pays one dict lookup per term.
+    parsed = {}
     seen = set()
     terms = []
     zero = None
     for item in doc["terms"]:
-        if not (type(item) is dict or isinstance(item, dict)) or "exp" not in item:
+        if not isinstance(item, dict) or "exp" not in item:
             raise SchemaError(f"curve term must be an object with 'exp', got {item!r}")
         e = item["exp"]
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):

@@ -272,14 +272,13 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["fan-check", "/no/such/file.json"]) == 3
 
-    def test_file_not_utf8(self, tmp_path):
+    def test_file_not_utf8(self, tmp_path, capsys):
         p = tmp_path / "latin1.json"
         p.write_bytes(b'{"fan": {"preset": "P2\xff"}}')
-        done = run_fresh(["fan-check", str(p)])
-        assert done.returncode == 1
-        assert done.stdout == ""
-        assert "parse error" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert main(["fan-check", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error" in captured.err
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

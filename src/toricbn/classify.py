@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalContradictionError
 from .fan import Fan, FakePlane, make_fake_plane, opposite_ray_pairs, zero_sum_triples
-from .lattice import LatticeVector, RationalPoint
+from .lattice import LatticeVector, RationalPoint, det2
 from .newton import (
     BoundaryEdge,
     CurveAnalysis,
@@ -163,9 +163,9 @@ class PairWitness:
 
 @dataclass(frozen=True)
 class TripleWitness:
-    """A zero sum triple for which the circumscribed polygon taken with
-    respect to the triple alone is a unit side triangle, i.e. the curve
-    maps to a primitive class on that fake plane."""
+    """A zero sum triple whose three support lines cut out a lattice
+    triangle with unit sides, i.e. the curve maps to a primitive class on
+    that fake plane."""
 
     triple: tuple[int, int, int]
     rays: tuple[LatticeVector, LatticeVector, LatticeVector]
@@ -180,27 +180,28 @@ Witness = PairWitness | TripleWitness
 def line_witness_scan(fan: Fan, curve: LaurentCurve) -> list[Witness]:
     """Exhaustive scan over all contraction witnesses of the fan.
 
-    Every opposite ray pair is tested for contraction of the curve, and
-    every zero sum triple is tested for the unit triangle property of the
-    curve's circumscribed polygon with respect to the triple's own fan.
-    The classifier's certificate, when present, always shows up here.
-    The triple tests reuse the curve's hull and build rational corners,
-    since a triple's sub-fan may be singular.
+    Both tests are integer checks on the support levels h.  An opposite
+    pair (i, j) contracts the curve iff h_i + h_j == 0.  A zero sum triple
+    (i, j, k) with cone index d = |det(n_i, n_j)| is a witness iff
+    -(h_i + h_j + h_k) == d and d divides both Cramer numerators of the
+    corner of sides i and j.  The classifier's certificate, when present,
+    always shows up here.
     """
     analysis = analyze(fan, curve)
     analysis.smoothness.require("witness scan needs a smooth host fan")
-    found: list[Witness] = []
-    for (i, j) in opposite_ray_pairs(fan):
-        if is_contracted_by_projection(curve, fan.rays[i]):
-            found.append(
-                PairWitness((i, j), (fan.rays[i], fan.rays[j]), fan.rays[i])
-            )
-    for (triple, plane) in zero_sum_triples(fan):
-        poly = analysis.on(plane.fan()).circumscribed()
-        if poly.all_lattice and all(e.delta == 1 for e in poly.edges):
-            found.append(
-                TripleWitness(triple, plane.rays, plane)
-            )
+    rays, h = fan.rays, [sl.line.level for sl in analysis.lines]
+    found: list[Witness] = [
+        PairWitness((i, j), (rays[i], rays[j]), rays[i])
+        for (i, j) in opposite_ray_pairs(fan)
+        if h[i] + h[j] == 0
+    ]
+    for ((i, j, k), plane) in zero_sum_triples(fan):
+        ni, nj, d = rays[i], rays[j], abs(det2(rays[i], rays[j]))
+        # every side of the triangle has lattice length -(h_i + h_j + h_k) / d
+        if -(h[i] + h[j] + h[k]) == d and (
+            (h[i] * nj.y - h[j] * ni.y) % d == (h[j] * ni.x - h[i] * nj.x) % d == 0
+        ):
+            found.append(TripleWitness((i, j, k), plane.rays, plane))
     return found
 
 

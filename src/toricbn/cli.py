@@ -15,7 +15,8 @@ Input documents are JSON, read from a file argument or stdin ("-"):
      "genus": 2, "cover_degree": 2, "image_genus_branch": 0}
 
 Exit codes: 0 success, 1 parse or usage error, 2 invalid mathematical
-input, 3 input/output failure.
+input, 3 input/output failure (a closed stdout included), 4 internal error,
+i.e. a bug in toricbn.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -38,7 +40,7 @@ from .classify import (
     severi_dim,
     to_json,
 )
-from .errors import DomainError, SchemaError
+from .errors import DomainError, InternalContradictionError, SchemaError
 from .fan import (
     class_group,
     fan_from_json,
@@ -423,7 +425,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"toricbn: io error: {exc}", file=sys.stderr)
         return 3
-    print(text)
+    except InternalContradictionError as exc:
+        print(f"toricbn: internal error: {exc}", file=sys.stderr)
+        return 4
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     return 0
 
 

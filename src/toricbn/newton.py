@@ -197,10 +197,6 @@ class CurveAnalysis:
     degrees: tuple[int, ...] | None
     genus: int
 
-    def on(self, fan: Fan) -> "CurveAnalysis":
-        """The same curve on another complete fan, reusing the hull."""
-        return _analysis(fan, self.curve, self.hull, self.boundary, self.genus)
-
     def intersections(self) -> tuple[int, ...]:
         """The degrees, or SingularFanError when the fan is singular."""
         self.smoothness.require("boundary intersections need a smooth fan")
@@ -262,14 +258,12 @@ def analyze(fan: Fan, curve: LaurentCurve) -> CurveAnalysis:
     """One hull pass, one support line per ray from the hull boundary, the
     degrees by the delta formula on a smooth fan, and Pick's genus."""
     hull, boundary = convex_hull_with_boundary(support(curve))
-    return _analysis(fan, curve, hull, boundary, pick_interior_points(hull))
-
-
-def _analysis(fan, curve, hull, boundary, genus) -> CurveAnalysis:
     lines = _support_lines(fan.rays, boundary)
     report = smoothness(fan)
     degrees = _degrees(lines) if report.smooth else None
-    return CurveAnalysis(fan, curve, hull, boundary, lines, report, degrees, genus)
+    return CurveAnalysis(
+        fan, curve, hull, boundary, lines, report, degrees, pick_interior_points(hull)
+    )
 
 
 def _support_lines(rays, points) -> tuple[SupportLine, ...]:

@@ -1,5 +1,6 @@
 """End to end command line behavior, exercised in process through main()."""
 
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import toricbn
+from toricbn import cli
 from toricbn.cli import main
+from toricbn.errors import InternalContradictionError
 
 SRC = str(Path(toricbn.__file__).resolve().parents[1])
 
@@ -75,8 +78,6 @@ class TestFanCheck:
         assert doc["class_group"]["rank"] == 4
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"fan": {"preset": "P2"}}'))
         code, doc = run_json(capsys, ["fan-check", "--json"])
         assert code == 0
@@ -279,6 +280,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "parse error" in captured.err
+
+    def test_closed_stdout(self, tmp_path, monkeypatch, capsys):
+        # a reader that went away, like `toricbn fan-check doc | head -1`
+        path = write_doc(tmp_path, {"fan": {"preset": "P2"}})
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["fan-check", path, "--json"]) == 3
+        assert capsys.readouterr().err == ""
+        # the descriptor now points at devnull, so a late flush is harmless
+        os.write(fd, b"late")
+        os.close(fd)
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    def test_internal_error(self, tmp_path, monkeypatch, capsys):
+        def contradiction(args):
+            raise InternalContradictionError("side 0 traversed backwards")
+
+        monkeypatch.setitem(cli._HANDLERS, "fan-check", contradiction)
+        path = write_doc(tmp_path, {"fan": {"preset": "P2"}})
+        assert main(["fan-check", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "toricbn: internal error: side 0 traversed backwards\n"
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import curves, lattice_vectors, nonzero_vectors, sl2_matrices, smooth_fans
@@ -25,6 +25,7 @@ from toricbn import (
     build_fan,
     chart_decomposition,
     circumscribed_polygon,
+    class_group,
     classify,
     convex_hull,
     convex_hull_with_boundary,
@@ -34,6 +35,7 @@ from toricbn import (
     expected_dim_maps_projective,
     fan_from_json,
     interior_lattice_points,
+    is_contracted_by_projection,
     lattice_distance,
     laurent_curve,
     line_witness_scan,
@@ -50,6 +52,7 @@ from toricbn import (
     zero_sum_triples,
 )
 from toricbn.cli import _dumps
+from toricbn.errors import NotCompleteError
 
 
 def apply_to_ray(A, n: LatticeVector) -> LatticeVector:
@@ -168,19 +171,31 @@ class TestDegreeProperties:
         assert classify(fan, curve).tag == classify(fan, shifted).tag
 
     @given(smooth_fans(), curves(), sl2_matrices())
+    @example(preset("P1xP1"), laurent_curve({(0, 0): 1, (1, 0): 2}), ((2, 1), (1, 1)))
+    @example(preset("Bl3P2"), laurent_curve({(0, 0): 1, (1, 0): 1, (0, 1): 1}), ((1, 3), (0, 1)))
     @settings(max_examples=200, deadline=None)
     def test_unimodular_equivariance(self, fan, curve, A):
         new_fan = build_fan([apply_to_ray(A, n) for n in fan.rays])
         new_curve = laurent_curve(
             {apply_to_exponent(A, e).as_tuple(): c for e, c in curve.terms}
         )
+        # index of each ray's image in the new fan
+        index = [new_fan.index_of(apply_to_ray(A, n)) for n in fan.rays]
         old = boundary_intersections(fan, curve)
         new = boundary_intersections(new_fan, new_curve)
-        for i, n in enumerate(fan.rays):
-            j = new_fan.index_of(apply_to_ray(A, n))
-            assert new[j] == old[i]
-        assert classify(fan, curve).tag == classify(new_fan, new_curve).tag
-        assert classify(fan, curve).degree == classify(new_fan, new_curve).degree
+        for i in range(fan.ray_count):
+            assert new[index[i]] == old[i]
+        old_cls, new_cls = classify(fan, curve), classify(new_fan, new_curve)
+        assert old_cls.tag == new_cls.tag
+        assert old_cls.degree == new_cls.degree
+        if old_cls.tag == "fiber_of_projection":
+            assert new_cls.ray_pair == tuple(sorted(index[i] for i in old_cls.ray_pair))
+        if old_cls.tag == "maps_to_fake_plane":
+            assert new_cls.ray_triple == tuple(sorted(index[i] for i in old_cls.ray_triple))
+            assert new_cls.fake_plane.cone_indices == old_cls.fake_plane.cone_indices
+            assert {e.ray_index: e.delta for e in new_cls.primitive_certificate} == {
+                index[e.ray_index]: e.delta for e in old_cls.primitive_certificate
+            }
         assert arithmetic_genus(curve) == arithmetic_genus(new_curve)
         # witnesses transport along the ray map
         old_sets = {
@@ -327,6 +342,86 @@ class TestAnalysisAgainstOracles:
         assert [t for t, _ in found] == triples
         for (i, j, k), plane in found:
             assert plane.rays == build_fan([rays[i], rays[j], rays[k]]).rays
+
+
+NINE_RAYS = [(2, -1), (-1, 2), (-1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+
+
+@st.composite
+def nine_ray_blowups(draw):
+    """The nine-ray fan (its triple (2,-1), (-1,2), (-1,-1) has cone index
+    3) refined by up to three blow-ups."""
+    fan = build_fan(NINE_RAYS)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        fan = blow_up(fan, draw(st.integers(min_value=0, max_value=20)) % fan.ray_count)
+    return fan
+
+
+# supports in [-2, 2]^2 make unit triangles and segments, hence witnesses, common
+small_curves = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=4, unique=True
+).map(lambda exps: laurent_curve(dict.fromkeys(exps, 1)))
+
+
+class TestWitnessScanAgainstCorners:
+    """The scan's integer tests against the corners of each candidate's
+    own sub-fan, through the public API only."""
+
+    @given(nine_ray_blowups(), small_curves)
+    # sides of lattice length 1 on the index 3 triple, corners not lattice
+    @example(build_fan(NINE_RAYS), laurent_curve({(0, 0): 1, (1, 0): 1, (1, 1): 1}))
+    # lattice corners on the triple (1,0), (0,1), (-1,-1), sides of length 2
+    @example(build_fan(NINE_RAYS), laurent_curve({(0, 0): 1, (2, 0): 1, (0, 2): 1}))
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_corner_oracle(self, fan, curve):
+        expected = [
+            ("pair", pair)
+            for pair in opposite_ray_pairs(fan)
+            if is_contracted_by_projection(curve, fan.rays[pair[0]])
+        ]
+        for triple, plane in zero_sum_triples(fan):
+            p = circumscribed_polygon(plane.fan(), curve)
+            if p.all_lattice and all(e.delta == 1 for e in p.edges):
+                expected.append(("triple", triple))
+        found = [
+            (w.kind, w.pair if w.kind == "pair" else w.triple)
+            for w in line_witness_scan(fan, curve)
+        ]
+        assert found == expected
+
+
+@st.composite
+def sublattice_fans(draw):
+    """A complete fan whose rays all lie in a sublattice of index p, so
+    every minor det(n_i, n_j) is divisible by p and the class group has
+    torsion."""
+    p = draw(st.integers(min_value=2, max_value=5))
+    a = draw(st.integers(min_value=0, max_value=p - 1))
+    pool = [
+        vec(x, y)
+        for x in range(-5, 6)
+        for y in range(-5, 6)
+        if math.gcd(x, y) == 1 and (x - a * y) % p == 0
+    ]
+    rays = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=8, unique=True))
+    try:
+        return build_fan(rays)
+    except NotCompleteError:
+        assume(False)
+
+
+class TestClassGroupAgainstMinors:
+    @given(st.one_of(smooth_fans(), complete_fans(), sublattice_fans()))
+    @settings(max_examples=200)
+    def test_torsion_is_the_gcd_of_the_minors(self, fan):
+        rays = fan.rays
+        g = 0
+        for i, u in enumerate(rays):
+            for v in rays[i + 1:]:
+                g = math.gcd(g, det2(u, v))
+        group = class_group(fan)
+        assert group.rank == fan.ray_count - 2
+        assert group.torsion == ((g,) if g > 1 else ())
 
 
 class TestJsonRoundTrip:

@@ -196,7 +196,8 @@ def line_witness_scan(fan: Fan, curve: LaurentCurve) -> list[Witness]:
         if h[i] + h[j] == 0
     ]
     for ((i, j, k), plane) in zero_sum_triples(fan):
-        ni, nj, d = rays[i], rays[j], abs(det2(rays[i], rays[j]))
+        ni, nj = rays[i], rays[j]
+        d = abs(det2(ni, nj))
         # every side of the triangle has lattice length -(h_i + h_j + h_k) / d
         if -(h[i] + h[j] + h[k]) == d and (
             (h[i] * nj.y - h[j] * ni.y) % d == (h[j] * ni.x - h[i] * nj.x) % d == 0

@@ -197,9 +197,9 @@ class FakePlane:
     """Three pairwise non-collinear primitive rays summing to zero.
 
     This is the fan of a plane-like surface: Picard rank one, anticanonical
-    degree 9 divided by the square of the common cone index.  All three
-    cone indices coincide; the surface is the honest projective plane
-    exactly when that index is 1.
+    degree 9 divided by the square of the common cone index.  The three
+    indices coincide, as det(u, v) = det(v, w) = det(w, u) when w = -u - v;
+    the surface is the honest projective plane exactly when that is 1.
     """
 
     rays: tuple[LatticeVector, LatticeVector, LatticeVector]
@@ -211,28 +211,30 @@ class FakePlane:
 
 
 def make_fake_plane(rays) -> FakePlane:
+    """The fake plane of three primitive rays summing to zero, its rays in
+    build_fan's order and |det(u, v)| as its cone index (see FakePlane).
+    Primitive u, v are collinear only if v = u (so w = -2u) or v = -u (so
+    w = 0), hence a primitive w makes the triple distinct and complete."""
     vs = [_coerce_ray(r) for r in rays]
     if len(vs) != 3:
         raise DomainError(f"a fake plane has exactly 3 rays, got {len(vs)}")
     if not (vs[0] + vs[1] + vs[2]).is_zero():
         raise DomainError("fake plane rays must sum to zero")
-    fan = build_fan(vs)  # validates primitivity, distinctness, completeness
-    idx = smoothness(fan).cone_indices
-    if not (idx[0] == idx[1] == idx[2]):
-        raise InternalContradictionError(
-            f"zero sum triple with unequal cone indices {idx}"
-        )
-    return FakePlane(fan.rays, idx[0] == 1, idx)
+    for v in vs:
+        if not v.is_primitive():
+            raise NonPrimitiveRayError(f"ray {v.as_tuple()} is not primitive")
+    start = vs.index(min(vs))
+    u, v, w = vs[start:] + vs[:start]
+    d = det2(u, v)
+    if d < 0:
+        v, w, d = w, v, -d
+    return FakePlane((u, v, w), d == 1, (d, d, d))
 
 
 def zero_sum_triples(fan: Fan) -> list[tuple[tuple[int, int, int], FakePlane]]:
     """All index triples i < j < k whose rays sum to zero, in lexicographic
     order, with their fake planes.  Each pair i < j determines its third
     ray -(n_i + n_j), which is looked up by value.
-
-    Three distinct primitive vectors summing to zero are automatically
-    pairwise non-collinear and positively span the plane, so each triple
-    really is a complete sub-fan.
     """
     index = _ray_index(fan)
     rays = fan.rays
@@ -265,94 +267,57 @@ def delete_rays(fan: Fan, keep) -> Fan:
 
 
 def _smith_with_row_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Smith normal form of an integer matrix, tracking row operations.
+    """Smith normal form of the c x 2 ray matrix of a complete fan,
+    tracking row operations.
 
-    Returns (diag, u) where u is unimodular, u @ original @ v is diagonal
-    for some unimodular v (not returned), the diagonal is non-negative and
-    each entry divides the next.  Column operations are applied internally
-    but never need to be reported: the cokernel only transforms by u.
+    Returns (diag, u) where u is unimodular, u @ rows @ v is diagonal for
+    some unimodular v (not returned), both diagonal entries are positive
+    and the first divides the second.  The rays span the plane, so there
+    are two pivot phases.  The only column operation that can fire is
+    phase 0's, on the pivot row, the one row then nonzero in column 0, so
+    it is a remainder plus a column swap; the cokernel only transforms by u.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+    m = len(rows)
+    # each row of the matrix followed by the same row of u
+    r = [[x, y] + [1 if i == j else 0 for j in range(m)] for i, (x, y) in enumerate(rows)]
 
     def add_row(i, j, q):
-        if q:
-            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        r[i] = [x + q * y for x, y in zip(r[i], r[j])]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, q):
-        if q:
-            for row in a:
-                row[i] += q * row[j]
-
-    def reduce_at(t: int) -> bool:
-        """Make position (t, t) a pivot dividing a cleared row and column.
-        Returns False when the remaining block is entirely zero."""
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            return False
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            restart = False
-            for i in range(m):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if not restart:
-                return True
+    def swap_columns():
+        for row in r:
+            row[0], row[1] = row[1], row[0]
 
     while True:
-        t = 0
-        while t < min(m, n) and reduce_at(t):
-            t += 1
-        for i in range(t):
-            if a[i][i] < 0:
-                negate_row(i)
-        bad = next(
-            (i for i in range(t - 1) if a[i + 1][i + 1] % a[i][i] != 0), None
-        )
-        if bad is None:
-            break
-        # fold the offending entry into the pivot column and re-reduce;
+        for t in (0, 1):
+            # smallest |entry| of the block, first in row-major order
+            pivots = [(abs(r[i][j]), i, j) for i in range(t, m) for j in range(t, 2) if r[i][j]]
+            if not pivots:
+                raise InternalContradictionError(f"ray matrix of rank {t}, not spanning the plane")
+            _, i, j = min(pivots)
+            r[t], r[i] = r[i], r[t]
+            if j != t:
+                swap_columns()
+            while True:
+                # rows above t are zero in column t already
+                for i in range(t + 1, m):
+                    while r[i][t]:
+                        add_row(i, t, -(r[i][t] // r[t][t]))
+                        if r[i][t]:
+                            r[i], r[t] = r[t], r[i]
+                if t == 1:
+                    break
+                r[0][1] %= r[0][0]
+                if not r[0][1]:
+                    break
+                swap_columns()
+        for t in (0, 1):
+            if r[t][t] < 0:
+                r[t] = [-x for x in r[t]]
+        if r[1][1] % r[0][0] == 0:
+            return [r[0][0], r[1][1]], [row[2:] for row in r]
         # the pivot strictly shrinks to a gcd, so this terminates
-        add_row(bad, bad + 1, 1)
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, u
+        add_row(0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -376,10 +341,6 @@ def class_group(fan: Fan) -> ClassGroup:
     c = fan.ray_count
     rows = [[n.x, n.y] for n in fan.rays]
     diag, u = _smith_with_row_transform(rows)
-    if len(diag) != 2 or diag[0] <= 0 or diag[1] <= 0:
-        raise InternalContradictionError(
-            f"rays of a complete fan must span the plane, got diagonal {diag}"
-        )
     torsion = tuple(d for d in diag if d > 1)
     torsion_rows = [j for j in (0, 1) if diag[j] > 1]
     free_rows = list(range(2, c))
@@ -421,18 +382,29 @@ def _pair_from_json(obj, what: str) -> LatticeVector:
     return LatticeVector(obj[0], obj[1])
 
 
+# the parameter keys each preset takes; every other preset takes none
+_PRESET_PARAMS = {"Hirzebruch": ("a",), "FakePlane": ("n1", "n2")}
+
+
+def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+
+
 def fan_from_json(doc) -> Fan:
     """Parse {"rays": [[x, y], ...]} or {"preset": name, ...}.
 
-    Preset parameters: "a" for Hirzebruch, "n1"/"n2" for FakePlane.
-    Shape problems raise SchemaError; mathematically invalid rays raise
-    the usual fan errors.
+    Preset parameters: "a" for Hirzebruch, "n1"/"n2" for FakePlane.  Shape
+    problems, unknown keys included, raise SchemaError; mathematically
+    invalid rays raise the usual fan errors.
     """
     if not isinstance(doc, dict):
         raise SchemaError("fan document must be a JSON object")
     if "rays" in doc and "preset" in doc:
         raise SchemaError("fan document cannot have both 'rays' and 'preset'")
     if "rays" in doc:
+        _reject_unknown_keys(doc, ("rays",), "fan")
         rays = doc["rays"]
         if not isinstance(rays, list):
             raise SchemaError("'rays' must be a list")
@@ -441,14 +413,10 @@ def fan_from_json(doc) -> Fan:
         name = doc["preset"]
         if not isinstance(name, str):
             raise SchemaError("'preset' must be a string")
-        kwargs = {}
-        if "a" in doc:
-            if not isinstance(doc["a"], int) or isinstance(doc["a"], bool):
-                raise SchemaError("'a' must be an integer")
-            kwargs["a"] = doc["a"]
-        if "n1" in doc:
-            kwargs["n1"] = _pair_from_json(doc["n1"], "n1")
-        if "n2" in doc:
-            kwargs["n2"] = _pair_from_json(doc["n2"], "n2")
-        return preset(name, **kwargs)
+        _reject_unknown_keys(
+            doc, ("preset", *_PRESET_PARAMS.get(name, ())), f"fan (preset {name!r})"
+        )
+        n1 = _pair_from_json(doc["n1"], "n1") if "n1" in doc else None
+        n2 = _pair_from_json(doc["n2"], "n2") if "n2" in doc else None
+        return preset(name, doc.get("a"), n1, n2)  # preset checks that a is an integer
     raise SchemaError("fan document needs either 'rays' or 'preset'")

@@ -41,7 +41,7 @@ from .errors import (
     ZeroCoefficientError,
     ZeroCoordinateError,
 )
-from .fan import Fan, SmoothnessReport, smoothness
+from .fan import Fan, SmoothnessReport, _reject_unknown_keys, smoothness
 from .lattice import (
     LatticePolygon,
     LatticeVector,
@@ -411,12 +411,14 @@ def curve_from_json(doc) -> LaurentCurve:
     """Parse {"terms": [{"exp": [a, b], "coeff": "p/q"}, ...]}.
 
     coeff is optional and defaults to 1; integers are accepted alongside
-    'p/q' strings.  Floats are rejected: coefficients must be exact.
+    'p/q' strings.  Floats are rejected: coefficients must be exact.  Any
+    other key in the curve or in a term raises SchemaError.
     """
     if not isinstance(doc, dict):
         raise SchemaError("curve document must be a JSON object")
     if "terms" not in doc or not isinstance(doc["terms"], list):
         raise SchemaError("curve document needs a 'terms' list")
+    _reject_unknown_keys(doc, ("terms",), "curve")
     # Coefficients repeat within a curve (an omitted coeff reads "1"), and
     # Fraction(str) is a regex match, so each distinct raw value is parsed
     # once; a curve of distinct coefficients pays one dict lookup per term.
@@ -424,9 +426,11 @@ def curve_from_json(doc) -> LaurentCurve:
     seen = set()
     terms = []
     zero = None
-    for item in doc["terms"]:
+    for n, item in enumerate(doc["terms"]):
         if not isinstance(item, dict) or "exp" not in item:
             raise SchemaError(f"curve term must be an object with 'exp', got {item!r}")
+        if len(item) != 1 + ("coeff" in item):
+            _reject_unknown_keys(item, ("exp", "coeff"), f"curve.terms[{n}]")
         e = item["exp"]
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             if (

@@ -270,6 +270,14 @@ class TestExitCodes:
         path = write_doc(tmp_path, {"fan": {"rays": [[2, 0], [0, 1], [-1, -1]]}})
         assert main(["fan-check", path]) == 2
 
+    def test_unknown_term_key(self, tmp_path, capsys):
+        terms = [{"exp": [0, 0], "coef": "5"}, {"exp": [1, 0]}]
+        doc = {"fan": {"preset": "P2"}, "curve": {"terms": terms}}
+        assert main(["degree", write_doc(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "toricbn: parse error: curve.terms[0]: unknown key 'coef'\n"
+
     def test_missing_file(self, capsys):
         assert main(["fan-check", "/no/such/file.json"]) == 3
 

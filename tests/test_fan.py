@@ -1,9 +1,12 @@
 """Fans: construction, presets, subdivisions, class groups, JSON."""
 
+import re
+
 import pytest
 
 from toricbn import (
     DuplicateRayError,
+    Fan,
     LengthMismatchError,
     NonPrimitiveRayError,
     NotCompleteError,
@@ -25,6 +28,7 @@ from toricbn import (
     vec,
     zero_sum_triples,
 )
+from toricbn.errors import InternalContradictionError
 
 NINE_RAY_FIXED = [
     (2, -1), (-1, 2), (-1, -1),
@@ -354,6 +358,17 @@ class TestFanJson:
         with pytest.raises(NonPrimitiveRayError):
             fan_from_json({"rays": [[2, 0], [0, 1], [-1, -1]]})
 
+    def test_unknown_keys(self):
+        # a preset parameter is known only on the preset that takes it
+        for doc, message in (
+            ({"rays": [[1, 0], [0, 1], [-1, -1]], "ray": [1, 1]}, "fan: unknown key 'ray'"),
+            ({"preset": "P2", "a": 3}, "fan (preset 'P2'): unknown key 'a'"),
+            ({"preset": "Hirzebruch", "a": 1, "n1": [1, 0]}, "unknown key 'n1'"),
+            ({"preset": "FakePlane", "n1": [2, -1], "n2": [-1, 2], "a": 0}, "unknown key 'a'"),
+        ):
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                fan_from_json(doc)
+
 
 class TestInternalGuards:
     def test_unequal_triple_indices_are_impossible(self):
@@ -375,6 +390,11 @@ class TestInternalGuards:
                         found.append((d1, d2, d3))
         assert found, "search space should not be empty"
         assert all(d1 == d2 == d3 for d1, d2, d3 in found)
-        # and therefore make_fake_plane never raises InternalContradictionError
+        # which is why make_fake_plane takes |det(u, v)| for all three
         plane = make_fake_plane([(3, 1), (-1, 0), (-2, -1)])
         assert plane.cone_indices[0] == plane.cone_indices[1] == plane.cone_indices[2]
+
+    def test_class_group_of_rays_on_a_line(self):
+        # only a Fan built by hand, bypassing build_fan, can have rank 1
+        with pytest.raises(InternalContradictionError, match="rank 1"):
+            class_group(Fan((vec(1, 0), vec(-1, 0), vec(1, 0))))

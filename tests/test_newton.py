@@ -5,6 +5,7 @@ levels are minimized pairings, the corners come from solving the 2x2
 linear systems, and the side lengths are coordinate gcds.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,17 @@ class TestCurveJson:
             {"terms": [{"exp": [0, 0]}, {"exponent": [1, 0]}]},
         ):
             with pytest.raises(SchemaError):
+                curve_from_json(doc)
+
+    def test_unknown_keys(self):
+        # a misspelt 'coeff' must not silently read as coefficient 1
+        two = [{"exp": [0, 0]}, {"exp": [1, 0]}]
+        for doc, message in (
+            ({"terms": [{"exp": [0, 0], "coef": "5"}, two[1]]}, "curve.terms[0]: unknown key 'coef'"),
+            ({"terms": [two[0], {"exp": [1, 0], "coeff": 2, "c": 2}]}, "terms[1]: unknown key 'c'"),
+            ({"terms": two, "genus": 1}, "curve: unknown key 'genus'"),
+        ):
+            with pytest.raises(SchemaError, match=re.escape(message)):
                 curve_from_json(doc)
 
     def test_math_errors_keep_their_type(self):

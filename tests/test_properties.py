@@ -4,11 +4,15 @@ Each property here is an exact combinatorial statement, so a single
 counterexample is a genuine bug, never noise.
 """
 
+import contextlib
+import copy
 import gc
+import io
 import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +43,7 @@ from toricbn import (
     lattice_distance,
     laurent_curve,
     line_witness_scan,
+    make_fake_plane,
     newton_polygon,
     opposite_ray_pairs,
     pairing,
@@ -51,8 +56,8 @@ from toricbn import (
     vec,
     zero_sum_triples,
 )
-from toricbn.cli import _dumps
-from toricbn.errors import NotCompleteError
+from toricbn.cli import _dumps, main
+from toricbn.errors import DomainError, NotCompleteError
 
 
 def apply_to_ray(A, n: LatticeVector) -> LatticeVector:
@@ -423,6 +428,59 @@ class TestClassGroupAgainstMinors:
         assert group.rank == fan.ray_count - 2
         assert group.torsion == ((g,) if g > 1 else ())
 
+    @given(st.one_of(smooth_fans(), complete_fans(), sublattice_fans()))
+    @settings(max_examples=150, deadline=None)
+    def test_ray_classes_are_exact(self, fan):
+        """The classes D_i satisfy both character relations sum <m, n_i> D_i
+        = 0 and generate Z^(c-2) + Z/g, so they present the cokernel."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        group = class_group(fan)
+        c, r = fan.ray_count, group.rank
+        g = group.torsion[0] if group.torsion else 1
+        free = [cls[:r] for cls in group.ray_classes]
+        tors = [cls[r] if group.torsion else 0 for cls in group.ray_classes]
+        for m in (vec(1, 0), vec(0, 1)):
+            weights = [pairing(m, n) for n in fan.rays]
+            assert [sum(w * f[k] for w, f in zip(weights, free)) for k in range(r)] == [0] * r
+            assert sum(w * t for w, t in zip(weights, tors)) % g == 0
+        # the rows [F | t] and (0, ..., 0, g) span Z^(c-1) exactly when
+        # every invariant factor of that (c+1) x (c-1) matrix is 1
+        rows = [list(f) + [t] for f, t in zip(free, tors)] + [[0] * r + [g]]
+        snf = smith_normal_form(sympy.Matrix(rows))
+        assert [abs(snf[k, k]) for k in range(c - 1)] == [1] * (c - 1)
+
+
+small_vectors = st.builds(vec, st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestFakePlaneAgainstBuildFan:
+    # a shift other than 0 makes the three rays not sum to zero
+    @given(small_vectors, small_vectors, st.just(vec(0, 0)) | small_vectors, st.permutations([0, 1, 2]))
+    @example(vec(1, 2), vec(1, 2), vec(0, 0), [0, 1, 2])  # u == v, so w = -2u
+    @example(vec(1, 2), vec(-1, -2), vec(0, 0), [2, 0, 1])  # u == -v, so w = 0
+    @example(vec(1, 0), vec(0, 1), vec(0, 1), [0, 1, 2])  # a complete fan, not zero sum
+    @settings(max_examples=300)
+    def test_matches_build_fan(self, u, v, shift, order):
+        rays = [(u, v, shift - u - v)[i] for i in order]
+        if not shift.is_zero():
+            with pytest.raises(DomainError, match="must sum to zero"):
+                make_fake_plane(rays)
+            return
+        try:
+            fan = build_fan(rays)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                make_fake_plane(rays)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+        plane = make_fake_plane(rays)
+        report = smoothness(fan)
+        assert plane.rays == fan.rays
+        assert plane.cone_indices == report.cone_indices
+        assert plane.is_projective_plane == report.smooth
+
 
 class TestJsonRoundTrip:
     """to_json writes the documents the parsers read: a fan and a curve come
@@ -489,3 +547,87 @@ class TestJsonWriter:
         big = 10 ** sys.get_int_max_str_digits()
         with pytest.raises(ValueError):
             _dumps({"genus": [big]})
+
+
+GOLDEN_DOCS = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.input.json"))
+]
+DOC_KEYS = st.sampled_from(
+    ["fan", "curve", "rays", "preset", "a", "n1", "n2", "terms", "exp", "coeff", "coef",
+     "genus", "cover_degree", "image_genus_branch"]
+) | st.text(max_size=3)
+DOC_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 4)
+    | st.sampled_from([2**70, -(2**70), 1.5, "1/2", "0", "-3", "x", "P2", "Hirzebruch", "FakePlane"])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(DOC_KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _containers(value) -> list:
+    """Every dict and list inside a JSON value, the value itself first."""
+    if isinstance(value, dict):
+        inner = value.values()
+    elif isinstance(value, list):
+        inner = value
+    else:
+        return []
+    return [value] + [c for item in inner for c in _containers(item)]
+
+
+@st.composite
+def mutated_documents(draw) -> dict:
+    """A golden input document with one to three random edits, each one
+    replacing, deleting or inserting an entry of some dict or list."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(_containers(doc)))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "insert"]))
+        if action == "insert" or not keys:
+            if isinstance(node, dict):
+                node[draw(DOC_KEYS)] = draw(DOC_VALUES)
+            else:
+                node.insert(draw(st.integers(0, len(node))), draw(DOC_VALUES))
+        elif action == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            key = draw(st.sampled_from(keys))
+            # a small integer for an integer keeps the shape, so the edit
+            # reaches the math (non-primitive rays, zero coefficients, ...)
+            small = type(node[key]) is int and draw(st.booleans())
+            node[key] = draw(st.integers(-3, 3) if small else DOC_VALUES)
+    return doc
+
+
+class TestCliFuzz:
+    """Mutated documents through main(): every outcome is a report or one
+    error line with a known exit code, never a traceback."""
+
+    @given(
+        st.sampled_from(["fan-check", "degree", "classify", "verdict"]),
+        st.booleans(),
+        mutated_documents(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_documents(self, command, as_json, doc):
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "-"] + (["--json"] if as_json else []))
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2, 3, 4)
+        if code == 0:
+            assert err.getvalue() == ""
+            if as_json:
+                json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().split("\n")
+            assert len(lines) == 2 and lines[0].startswith("toricbn: ") and lines[1] == ""

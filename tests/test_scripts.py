@@ -24,3 +24,15 @@ def test_verdict_table(monkeypatch, capsys):
     # g = 2m - 2 on an image of degree 4: the family has dimension 6
     assert rows[3, 4] == (6, ["6", "boundary_special_case"])
     assert len(rows) == 4 * 5
+
+
+def test_render_gallery_is_deterministic(monkeypatch, capsys, tmp_path):
+    names = ["cremona_conic.svg", "nine_ray_fan.svg", "nodal_cubic.svg", "square_on_plane.svg"]
+    runs = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        monkeypatch.setattr(sys, "argv", ["render_gallery.py", "--out-dir", str(out)])
+        load("render_gallery").main()
+        assert sorted(p.name for p in out.iterdir()) == names
+        runs.append({name: (out / name).read_bytes() for name in names})
+    assert runs[0] == runs[1]
+    assert all(svg.startswith(b"<svg") for svg in runs[0].values())

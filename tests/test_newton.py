@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from toricbn import (
     DuplicateExponentError,
+    LaurentCurve,
     RationalPoint,
     SchemaError,
     SingularFanError,
@@ -68,6 +69,13 @@ class TestCurveConstruction:
     def test_duplicate_exponent(self):
         with pytest.raises(DuplicateExponentError):
             laurent_curve({(0, 0): 1, vec(0, 0): 2, (1, 0): 1})
+
+    def test_duplicate_exponent_from_a_tuple_and_a_vector(self):
+        with pytest.raises(DuplicateExponentError, match="repeated exponent vector"):
+            LaurentCurve.from_dict({(1, 0): 1, vec(1, 0): 2})
+        # a zero coefficient is reported before the repeat
+        with pytest.raises(ZeroCoefficientError):
+            LaurentCurve.from_dict({(1, 0): 1, vec(1, 0): 0})
 
 
 class TestSquareOnP2:

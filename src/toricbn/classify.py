@@ -17,12 +17,11 @@ the verdict logic for multiple cover families.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import DomainError, InternalContradictionError
 from .fan import Fan, FakePlane, make_fake_plane, opposite_ray_pairs, zero_sum_triples
-from .lattice import LatticeVector, RationalPoint, det2
+from .lattice import LatticeVector, RationalPoint, Record, det2
 from .newton import (
     BoundaryEdge,
     CurveAnalysis,
@@ -35,8 +34,7 @@ from .newton import (
 # classification of low degree curves
 
 
-@dataclass(frozen=True)
-class HighDegree:
+class HighDegree(Record):
     """Anticanonical degree at least 4; no forced degeneration."""
 
     degree: int
@@ -44,8 +42,7 @@ class HighDegree:
     tag = "high_degree"
 
 
-@dataclass(frozen=True)
-class FiberOfProjection:
+class FiberOfProjection(Record):
     """Degree 2: the curve is contracted by the projection along an
     opposite ray pair, i.e. it is a fiber of a map to the projective line."""
 
@@ -57,8 +54,7 @@ class FiberOfProjection:
     tag = "fiber_of_projection"
 
 
-@dataclass(frozen=True)
-class MapsToFakePlane:
+class MapsToFakePlane(Record):
     """Degree 3: the circumscribed polygon is a unit triangle on a zero sum
     ray triple, so contracting every other ray maps the curve to a curve of
     primitive class on a plane like surface."""
@@ -150,8 +146,7 @@ def _classify(analysis: CurveAnalysis) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(Record):
     """An opposite ray pair whose projection contracts the curve."""
 
     pair: tuple[int, int]
@@ -161,8 +156,7 @@ class PairWitness:
     kind = "pair"
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(Record):
     """A zero sum triple whose three support lines cut out a lattice
     triangle with unit sides, i.e. the curve maps to a primitive class on
     that fake plane."""
@@ -268,8 +262,7 @@ def multiple_cover_excess(genus: int, m: int, image_deg_k: int) -> int:
 # verdicts for cover families
 
 
-@dataclass(frozen=True)
-class ExpectedDimension:
+class ExpectedDimension(Record):
     """Birational onto a degree >= 4 image: the family is a generically
     smooth component of expected dimension."""
 
@@ -278,8 +271,7 @@ class ExpectedDimension:
     tag = "expected_dimension"
 
 
-@dataclass(frozen=True)
-class NoSuchCovers:
+class NoSuchCovers(Record):
     """The requested covers do not exist for a general image curve."""
 
     reason: str
@@ -287,8 +279,7 @@ class NoSuchCovers:
     tag = "no_such_covers"
 
 
-@dataclass(frozen=True)
-class ObstructedComponent:
+class ObstructedComponent(Record):
     """The cover family exceeds the expected dimension, so it closes up to
     an obstructed component of the map space."""
 
@@ -299,8 +290,7 @@ class ObstructedComponent:
     tag = "obstructed_component"
 
 
-@dataclass(frozen=True)
-class BoundarySpecialCase:
+class BoundarySpecialCase(Record):
     """The equality case image degree 4, g = 2m - 2: the cover family has
     exactly the expected dimension 6 without being ruled out."""
 
@@ -309,8 +299,7 @@ class BoundarySpecialCase:
     tag = "boundary_special_case"
 
 
-@dataclass(frozen=True)
-class NotAComponent:
+class NotAComponent(Record):
     """The cover family is too small to dominate a component."""
 
     family_dim: int
@@ -318,8 +307,7 @@ class NotAComponent:
     tag = "not_a_component"
 
 
-@dataclass(frozen=True)
-class LowDegreeBirational:
+class LowDegreeBirational(Record):
     """Birational onto an image of anticanonical degree at most 3; the
     degeneration witness, when toric input was given, explains why the
     general dimension count does not apply."""
@@ -339,8 +327,7 @@ Outcome = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of the cover family analysis plus the input arithmetic.
 
     expected_dim is m * image_degree + 2 - 2g, the expected dimension of
@@ -443,7 +430,7 @@ def to_json(obj):
     exact string and a LaurentCurve the {"terms": [{"exp", "coeff"}]}
     document that curve_from_json reads back.  A Verdict is one flat object:
     its outcome's tag, its own fields, then the outcome's fields.  Any other
-    dataclass gives its class's tag or kind attribute first, then its fields
+    record gives its class's tag or kind attribute first, then its fields
     in declaration order; a fan is therefore {"rays": [...]}, the document
     fan_from_json reads back.
     """
@@ -475,6 +462,5 @@ def to_json(obj):
 
 @functools.cache
 def _layout(cls) -> tuple[dict, tuple[str, ...]]:
-    """The class attribute labels and the field names of a dataclass."""
-    names = tuple(f.name for f in fields(cls))
-    return {k: getattr(cls, k) for k in ("tag", "kind") if hasattr(cls, k)}, names
+    """The class attribute labels and the field names of a record."""
+    return {k: getattr(cls, k) for k in ("tag", "kind") if hasattr(cls, k)}, cls._fields

@@ -49,7 +49,6 @@ from .fan import (
     zero_sum_triples,
 )
 from .newton import analyze, curve_from_json
-from .svg import render_fan_svg, render_polygons_svg
 
 _FORMULAS = {
     "rho": (rho, ("genus", "r", "d")),
@@ -293,6 +292,8 @@ def _cmd_dims(args) -> dict:
 
 
 def _cmd_render(args) -> dict:
+    from .svg import render_fan_svg, render_polygons_svg  # only rendering needs svg
+
     doc = _load_doc(args.input)
     fan = _doc_fan(doc)
     if args.target == "fan":

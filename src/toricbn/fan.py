@@ -11,7 +11,6 @@ zero sum triples that generate maps to fake projective planes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import (
     DomainError,
@@ -25,11 +24,10 @@ from .errors import (
     SingularFanError,
     TooFewRaysError,
 )
-from .lattice import LatticeVector, det2
+from .lattice import LatticeVector, Record, _set, det2
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A complete fan: primitive rays, counter-clockwise, starting at the
     lexicographically smallest ray.  Cone i is spanned by rays i and i+1
     (indices mod the ray count), and completeness guarantees that every
@@ -113,8 +111,7 @@ def build_fan(rays) -> Fan:
     return Fan(tuple(vs))
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(Record):
     smooth: bool
     cone_indices: tuple[int, ...]
 
@@ -192,8 +189,7 @@ def opposite_ray_pairs(fan: Fan) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class FakePlane:
+class FakePlane(Record):
     """Three pairwise non-collinear primitive rays summing to zero.
 
     This is the fan of a plane-like surface: Picard rank one, anticanonical
@@ -205,6 +201,12 @@ class FakePlane:
     rays: tuple[LatticeVector, LatticeVector, LatticeVector]
     is_projective_plane: bool
     cone_indices: tuple[int, int, int]
+
+    def __init__(self, rays, is_projective_plane: bool, cone_indices):
+        # written out: the zero sum triple scan builds one per triple
+        _set(self, "rays", rays)
+        _set(self, "is_projective_plane", is_projective_plane)
+        _set(self, "cone_indices", cone_indices)
 
     def fan(self) -> Fan:
         return build_fan(self.rays)
@@ -320,8 +322,7 @@ def _smith_with_row_transform(rows: list[list[int]]) -> tuple[list[int], list[li
         add_row(0, 1, 1)
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """Divisor class group Z^rank + Z/d1 + ... + Z/dk of the toric surface.
 
     ray_classes[i] lists the coordinates of the i-th boundary divisor in

@@ -8,19 +8,122 @@ tests are honest and results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ParallelLinesError
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class LatticeVector:
-    """A point of Z^2, also used for ray directions and exponent vectors."""
+
+class Record:
+    """An immutable value with named fields, the base of every record class.
+
+    A subclass declares its fields as annotations, in order, and a class
+    level value of a field is its default.  A record equals only records of
+    the same class with equal fields, hashes like the tuple of its fields,
+    prints as ``Name(field=value, ...)`` and refuses assignment and
+    deletion.  A subclass may define ``__post_init__`` to check its fields.
+    These methods are written once here, so defining a record class
+    compiles nothing.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __post_init__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """The field values, in order, from the arguments and defaults."""
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {len(args)}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls.__dict__:
+                values.append(cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected argument {next(iter(kwargs))!r}")
+        return values
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot delete {name!r}")
+
+
+class LatticeVector(Record):
+    """A point of Z^2, also used for ray directions and exponent vectors.
+
+    The hottest record, so its construction, equality and hash are written
+    out.  Vectors are ordered lexicographically by (x, y).
+    """
 
     x: int
     y: int
+
+    def __init__(self, x: int, y: int):
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x < other.x or (self.x == other.x and self.y < other.y)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x < other.x or (self.x == other.x and self.y <= other.y)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x > other.x or (self.x == other.x and self.y > other.y)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x > other.x or (self.x == other.x and self.y >= other.y)
+        return NotImplemented
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x + other.x, self.y + other.y)
@@ -87,12 +190,15 @@ def lattice_distance(a: LatticeVector, b: LatticeVector) -> int:
     return gcd(b.x - a.x, b.y - a.y)
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
-    """A point of Q^2 with exact Fraction coordinates."""
+class RationalPoint(Record):
+    """A point of Q^2 with exact Fraction coordinates, ordered like a
+    LatticeVector."""
 
     x: Fraction
     y: Fraction
+
+    __lt__, __le__ = LatticeVector.__lt__, LatticeVector.__le__
+    __gt__, __ge__ = LatticeVector.__gt__, LatticeVector.__ge__
 
     @staticmethod
     def of(x, y) -> "RationalPoint":
@@ -115,8 +221,7 @@ def rational_point_of(v: LatticeVector) -> RationalPoint:
     return RationalPoint(Fraction(v.x), Fraction(v.y))
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """The affine line { p : <p, normal> == level } with primitive normal."""
 
     normal: LatticeVector
@@ -159,8 +264,7 @@ def _turn(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Convex hull of a finite set of lattice points.
 
     ``kind`` is one of "point", "segment", "polygon".  For a genuine

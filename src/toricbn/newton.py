@@ -30,7 +30,6 @@ this once per (fan, curve); the module level functions wrap it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -47,6 +46,7 @@ from .lattice import (
     LatticeVector,
     Line,
     RationalPoint,
+    Record,
     convex_hull,
     convex_hull_with_boundary,
     det2,
@@ -71,17 +71,14 @@ def _term_key(term) -> tuple[int, int]:
 
 
 def _sorted_curve(terms: list[tuple[LatticeVector, Fraction]]) -> "LaurentCurve":
-    """Check a list of (exponent, non-zero coefficient) terms and store it
-    sorted by exponent."""
-    if len(terms) != len({_term_key(t) for t in terms}):
-        raise DuplicateExponentError("repeated exponent vector")
+    """Store a list of (exponent, non-zero coefficient) terms with distinct
+    exponents sorted by exponent, once it has the two terms a curve needs."""
     if len(terms) < 2:
         raise TooFewTermsError(f"got {len(terms)} terms, a curve needs at least 2")
     return LaurentCurve(tuple(sorted(terms, key=_term_key)))
 
 
-@dataclass(frozen=True)
-class LaurentCurve:
+class LaurentCurve(Record):
     """A Laurent polynomial with exact rational coefficients.
 
     Terms are stored sorted by exponent.  At least two terms are required:
@@ -101,6 +98,9 @@ class LaurentCurve:
             if coeff == 0:
                 raise ZeroCoefficientError(f"zero coefficient at exponent {e}")
             terms.append((_coerce_exponent(e), coeff))
+        # (1, 0) and LatticeVector(1, 0) are distinct keys of one exponent
+        if len(terms) != len({m for m, _ in terms}):
+            raise DuplicateExponentError("repeated exponent vector")
         return _sorted_curve(terms)
 
     def coefficient(self, m: LatticeVector) -> Fraction:
@@ -131,8 +131,7 @@ def arithmetic_genus(curve: LaurentCurve) -> int:
     return pick_interior_points(newton_polygon(curve))
 
 
-@dataclass(frozen=True)
-class SupportLine:
+class SupportLine(Record):
     """The line <., ray> == min over the support, with its minimizers."""
 
     ray: LatticeVector
@@ -140,8 +139,7 @@ class SupportLine:
     argmin: tuple[LatticeVector, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
+class BoundaryEdge(Record):
     """Side i of the circumscribed polygon, running along support line i
     from corner mu_{i-1} to corner mu_i.
 
@@ -160,8 +158,7 @@ class BoundaryEdge:
     delta: int | None
 
 
-@dataclass(frozen=True)
-class CircumscribedPolygon:
+class CircumscribedPolygon(Record):
     """Corner cycle and sides of the circumscribed polygon.
 
     mu[i] is the intersection of support lines i and i+1 (mod c), so side
@@ -177,8 +174,7 @@ class CircumscribedPolygon:
         return tuple(sorted(set(self.mu)))
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(Record):
     """Everything computed once per (fan, curve).
 
     hull is the Newton polygon and boundary lists the support points on

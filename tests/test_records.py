@@ -117,6 +117,11 @@ def test_keyword_and_positional_construction_agree(cls, kwargs):
 
 
 @by_class
+def test_fields_are_the_annotations_in_order(cls, kwargs):
+    assert cls._fields == tuple(kwargs)
+
+
+@by_class
 def test_missing_unknown_or_repeated_argument_is_a_type_error(cls, kwargs):
     values = list(kwargs.values())
     if cls is not ExpectedDimension:

@@ -19,20 +19,16 @@ _set = object.__setattr__
 class Record:
     """An immutable value with named fields, the base of every record class.
 
-    A subclass declares its fields as annotations, in order, and a class
-    level value of a field is its default.  A record equals only records of
-    the same class with equal fields, hashes like the tuple of its fields,
-    prints as ``Name(field=value, ...)`` and refuses assignment and
-    deletion.  A subclass may define ``__post_init__`` to check its fields.
-    These methods are written once here, so defining a record class
-    compiles nothing.
+    Fields are a subclass's own annotations, in order; a class level value
+    is a default, and ``__post_init__``, when defined, checks the fields.
+    Records of one class with equal fields are equal and hash alike.  Each
+    method is written once here, so a record class compiles nothing.
     """
 
     _fields: tuple[str, ...] = ()
     __post_init__ = None
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
@@ -47,18 +43,13 @@ class Record:
     def _bind(self, args, kwargs) -> list:
         """The field values, in order, from the arguments and defaults."""
         cls, names = type(self), self._fields
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {len(args)}")
         values = list(args)
         for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls.__dict__:
-                values.append(cls.__dict__[name])
-            else:
+            if name not in kwargs and name not in cls.__dict__:
                 raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__qualname__}() got an unexpected argument {next(iter(kwargs))!r}")
+            values.append(kwargs.pop(name) if name in kwargs else cls.__dict__[name])
+        if kwargs or len(values) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes only the fields {names}")
         return values
 
     def _astuple(self) -> tuple:
@@ -84,11 +75,8 @@ class Record:
 
 
 class LatticeVector(Record):
-    """A point of Z^2, also used for ray directions and exponent vectors.
-
-    The hottest record, so its construction, equality and hash are written
-    out.  Vectors are ordered lexicographically by (x, y).
-    """
+    """A point of Z^2, also used for ray directions and exponent vectors,
+    ordered by (x, y).  The hottest record, so its methods are written out."""
 
     x: int
     y: int
@@ -191,8 +179,7 @@ def lattice_distance(a: LatticeVector, b: LatticeVector) -> int:
 
 
 class RationalPoint(Record):
-    """A point of Q^2 with exact Fraction coordinates, ordered like a
-    LatticeVector."""
+    """A point of Q^2 with exact Fraction coordinates, ordered by (x, y)."""
 
     x: Fraction
     y: Fraction

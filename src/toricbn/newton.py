@@ -65,17 +65,12 @@ def _coerce_exponent(e) -> LatticeVector:
     return LatticeVector(int(x), int(y))
 
 
-def _term_key(term) -> tuple[int, int]:
-    m = term[0]
-    return (m.x, m.y)
-
-
 def _sorted_curve(terms: list[tuple[LatticeVector, Fraction]]) -> "LaurentCurve":
-    """Store a list of (exponent, non-zero coefficient) terms with distinct
-    exponents sorted by exponent, once it has the two terms a curve needs."""
+    """The curve of (exponent, non-zero coefficient) terms with distinct
+    exponents, stored sorted by exponent; a curve needs two terms."""
     if len(terms) < 2:
         raise TooFewTermsError(f"got {len(terms)} terms, a curve needs at least 2")
-    return LaurentCurve(tuple(sorted(terms, key=_term_key)))
+    return LaurentCurve(tuple(sorted(terms, key=lambda t: (t[0].x, t[0].y))))
 
 
 class LaurentCurve(Record):
